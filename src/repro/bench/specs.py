@@ -409,6 +409,100 @@ def batched_reps(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     }
 
 
+#: Profiled phases of a fast tester repetition, in protocol order.
+_FAST_PHASES = (
+    "rank_draws", "min_select", "priority_mux", "round_apply", "audit_fold",
+    "decision",
+)
+
+
+def _run_fingerprint(run) -> tuple:
+    """A run's verdict, evidence and per-round audit, comparable by ``==``."""
+    rejects = sorted((v, o.cycle) for v, o in run.outputs.items() if o.rejects)
+    rounds = [
+        (s.messages, s.total_bits, s.max_message_bits, s.max_edge,
+         s.max_sequences)
+        for s in run.trace.rounds
+    ]
+    return rejects, rounds
+
+
+@benchmark(
+    "engines",
+    # Where a fast tester repetition's time goes, on the registry's
+    # C_k-free family (every repetition accepts, so every round runs).
+    # The in-body ratio is one a sort-based priority rule fails: a
+    # per-round lexsort made min_select cost 1.4-4x the rank draws; the
+    # segmented minimum costs ~0.1-0.3x.
+    smoke=[{"n": 5000, "k": 5, "reps": 4, "reference": True}],
+    default=[{"n": 100000, "k": 5, "reps": 2, "reference": False}],
+)
+def fast_phases(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Per-phase breakdown of serial fast tester repetitions.
+
+    Records each profiler phase's ms per repetition and its share of the
+    repetition, plus the unattributed remainder; the rounds, messages
+    and audited bits summed over the repetitions are exact integer
+    metrics.  Asserts that ``fast`` and ``fast:chunk=4`` (and, where the
+    case asks, the reference engine) give identical fingerprints —
+    verdict, evidence and every round's audit — and that
+    ``min_select <= 0.5 x rank_draws``.
+    """
+    from ..congest.engine import PhaseProfiler, available_engines, create_engine
+    from ..congest.network import Network
+    from ..graphs.generators import ck_free_graph
+
+    if "fast" not in available_engines():
+        # Strings never gate: a no-numpy fresh run still compares clean.
+        return {"n": case["n"], "skipped": "numpy unavailable"}
+    k, reps = case["k"], case["reps"]
+    g = ck_free_graph(case["n"], k, seed=1)
+    net = Network(g)
+    rep_seeds = np.random.SeedSequence(seed).generate_state(reps).tolist()
+    profiler = PhaseProfiler()
+    eng = create_engine("fast", net, profiler=profiler)
+    t0 = time.perf_counter()
+    runs = [eng.run_tester_repetition(k, s) for s in rep_seeds]
+    rep_ms = (time.perf_counter() - t0) / reps * 1e3
+    fingerprints = [_run_fingerprint(run) for run in runs]
+    chunked = create_engine("fast:chunk=4", net)
+    assert [
+        _run_fingerprint(run) for run in chunked.iter_tester_chunk(k, rep_seeds)
+    ] == fingerprints, "fast:chunk=4 diverged from serial fast"
+    if case["reference"]:
+        ref = create_engine("reference", net)
+        assert [
+            _run_fingerprint(ref.run_tester_repetition(k, s)) for s in rep_seeds
+        ] == fingerprints, "fast diverged from the reference engine"
+
+    phases = profiler.report()["phases"]
+    ms = {
+        p: phases[p]["seconds"] / reps * 1e3 if p in phases else 0.0
+        for p in _FAST_PHASES
+    }
+    ratio = ms["min_select"] / max(ms["rank_draws"], 1e-12)
+    assert ratio <= 0.5, (
+        f"min_select took {ratio:.2f}x the rank draws (ceiling 0.5x): the "
+        "priority rule's per-node minimum is no longer linear-time"
+    )
+    metrics: Dict[str, Any] = {
+        "n": g.n,
+        "m": g.m,
+        "repetitions": reps,
+        "rounds": sum(run.trace.num_rounds for run in runs),
+        "messages": sum(run.trace.total_messages for run in runs),
+        "bits": sum(run.trace.total_bits for run in runs),
+        "rep_ms": rep_ms,
+        "min_select_over_rank_draws": ratio,
+    }
+    for p in _FAST_PHASES:
+        metrics[f"{p}_ms"] = ms[p]
+        metrics[f"{p}_share"] = ms[p] / rep_ms
+    metrics["unattributed_ms"] = rep_ms - sum(ms.values())
+    metrics["unattributed_share"] = metrics["unattributed_ms"] / rep_ms
+    return metrics
+
+
 # ---------------------------------------------------------------------------
 # pruning — Instruction 15 vs naive forwarding (the Figure-1 claim)
 # ---------------------------------------------------------------------------

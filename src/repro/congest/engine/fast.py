@@ -8,13 +8,20 @@ per round with vectorized array operations:
 * **Phase-1 rank draws** are replicated bit-exactly through
   :mod:`repro.congest.engine.fastrng` (vectorized SeedSequence → PCG64 →
   Lemire pipeline), so the fast engine consumes the exact random stream
-  the reference engine's per-node Generators would.
-* **Minimum-rank selection and the §3.1 priority rule** are
-  struct-of-arrays operations: each node's current execution tag is a
-  ``(rank, edge_u, edge_v)`` triple held in three int64 arrays, and the
-  per-round multiplexing (take the lexicographically smallest tag among
-  your own and your sending neighbours') is one ``np.lexsort`` over the
-  half-edge arrays.
+  the reference engine's per-node Generators would; an owner of many
+  edges draws from that very Generator (:func:`draw_owned_ranks`).
+* **Minimum-rank selection and the §3.1 priority rule** are segmented
+  minima over CSR rows (:func:`segmented_min`): each node's current
+  execution tag is a ``(rank, edge index)`` pair held in two int64
+  arrays — the edge index is the edge's row in the ``(a, b)``-sorted
+  canonical edge table, so ``(rank, edge)`` order is exactly the
+  reference ``(rank, a, b)`` order — and the per-round multiplexing
+  (take the lexicographically smallest tag among your own and your
+  sending neighbours') is two ``np.minimum.reduceat`` passes over the
+  half-edge arrays: O(H) work, no sort.
+* **Repetitions run in chunks**: one kernel advances ``C`` repetitions
+  side by side over ``(C, …)`` stacks; a serial repetition is a chunk
+  of one.
 * **Sequence processing** (Instructions 10–27 and the final decision)
   runs through the *same* pure functions as the reference engine —
   :func:`~repro.core.algorithm1.process_phase2_round` and
@@ -31,7 +38,7 @@ per round with vectorized array operations:
   that error path may differ.
 
 The trace's per-round ``messages``/``total_bits``/``max_message_bits``/
-``max_sequences`` match the reference audit exactly (asserted in
+``max_edge``/``max_sequences`` match the reference audit exactly (asserted in
 ``tests/test_engines.py``); verdict equivalence across the registry's
 stress instances is asserted by ``repro.testing`` and the cross-engine
 grid test.
@@ -43,7 +50,7 @@ should use the reference engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,10 +62,142 @@ from ..scheduler import RunResult
 from .base import CongestEngine
 from .fastrng import MAX_UINT32_ENTROPY, RankStreams
 
-__all__ = ["FastEngine"]
+__all__ = ["FastEngine", "draw_owned_ranks", "priority_mux", "segmented_min"]
 
-#: Sentinel rank for "no tag"; real ranks are in [1, m**2].
+#: Sentinel rank (and edge index) for "no tag"; real ranks are in
+#: [1, m**2] and edge indices in [0, m).
 _INF = np.int64(1) << np.int64(62)
+
+
+#: Owners with more owned edges than this draw from their own numpy
+#: Generator instead of the batched :class:`RankStreams` loop, whose
+#: every step costs one numpy pass however few streams still draw (a
+#: hub owning half the edges would otherwise take ~n/2 passes).
+_HEAVY_OWNER = 32
+
+
+def draw_owned_ranks(
+    rep_seeds: Sequence[int],
+    owner_ids: np.ndarray,
+    counts: np.ndarray,
+    offsets: np.ndarray,
+    hi: int,
+) -> np.ndarray:
+    """Phase-1 rank draws of a set of edge owners, one row per repetition.
+
+    Owner ``i`` (CONGEST ID ``owner_ids[i]``) draws ``counts[i]`` ranks
+    in ``[1, hi]``, stored from slot ``offsets[i]`` on.  Each
+    ``(repetition, owner)`` pair is an independent stream, so stacking
+    repetitions — or drawing any subset of owners, as a shard does —
+    preserves every stream's draw order exactly.  Returns
+    ``(len(rep_seeds), counts.sum())``.
+    """
+    C = len(rep_seeds)
+    slots = int(counts.sum())
+    words = [int(s) & 0x7FFFFFFF for s in rep_seeds]
+    ranks = np.zeros((C, slots), dtype=np.int64)
+    heavy = counts > _HEAVY_OWNER
+    # A heavy owner's stream is the reference's own Generator; one
+    # ``integers(size=c)`` call consumes it exactly as c scalar draws.
+    for i in np.flatnonzero(heavy).tolist():
+        lo, c = int(offsets[i]), int(counts[i])
+        for r, word in enumerate(words):
+            seq = np.random.SeedSequence((word, int(owner_ids[i])))
+            gen = np.random.default_rng(seq)
+            ranks[r, lo: lo + c] = gen.integers(1, hi + 1, size=c)
+    light = np.flatnonzero(~heavy)
+    if not len(light):
+        return ranks
+    n_light = len(light)
+    streams = RankStreams(
+        np.repeat(np.asarray(words, dtype=np.uint64), n_light),
+        np.tile(owner_ids[light], C),
+    )
+    rep_counts = np.tile(counts[light], C)
+    rep_offsets = np.tile(offsets[light], C) + np.repeat(
+        np.arange(C, dtype=np.int64) * slots, n_light
+    )
+    flat = ranks.reshape(-1)
+    for j in range(int(counts[light].max())):
+        active = np.nonzero(rep_counts > j)[0]
+        flat[rep_offsets[active] + j] = streams.integers(active, 1, hi + 1)
+    return ranks
+
+
+def segmented_min(
+    r: np.ndarray,
+    e: np.ndarray,
+    starts: np.ndarray,
+    rows: np.ndarray,
+    own_r: np.ndarray,
+    own_e: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row lexicographic minimum of ``(rank, edge)`` tags over CSR rows.
+
+    ``r`` is a ``(C, H)`` stack of candidate ranks — one row per
+    repetition — and ``e`` the candidates' edge indices (broadcastable
+    to ``r``), laid out in CSR order: segment ``i`` is columns
+    ``starts[i]`` up to ``starts[i + 1]`` (the last one up to ``H``) and
+    belongs to output row ``rows[i]``.  ``starts`` lists the non-empty
+    segments only and begins at 0; ``rows`` ascends.
+
+    Each output row starts from its own tag ``(own_r, own_e)`` — two
+    ``(C, rows_out)`` arrays, the sentinel ``_INF`` meaning "no tag" —
+    and returns the smallest rank among it and its segment, then the
+    smallest edge among the tags tying that rank.  Rows outside
+    ``rows`` keep their own tag.  Two ``np.minimum.reduceat`` passes:
+    O(C·H) work, no sort.
+    """
+    best_r = own_r.copy()
+    best_e = own_e.copy()
+    if not len(rows):
+        return best_r, best_e
+    mine_r, mine_e = best_r[:, rows], best_e[:, rows]
+    min_r = np.minimum(np.minimum.reduceat(r, starts, axis=1), mine_r)
+    lens = np.diff(starts, append=r.shape[1])
+    tie = r == np.repeat(min_r, lens, axis=1)
+    min_e = np.minimum.reduceat(np.where(tie, e, _INF), starts, axis=1)
+    best_r[:, rows] = min_r
+    best_e[:, rows] = np.where(mine_r == min_r, np.minimum(min_e, mine_e), min_e)
+    return best_r, best_e
+
+
+def priority_mux(
+    R: np.ndarray,
+    E: np.ndarray,
+    sending: np.ndarray,
+    he_src: np.ndarray,
+    he_dst: np.ndarray,
+    starts: np.ndarray,
+    rows: np.ndarray,
+    lo: int,
+    hi: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The §3.1 priority rule for receivers ``[lo, hi)``, vectorized.
+
+    ``R``/``E``/``sending`` are ``(C, n)`` stacks of every node's
+    current tag and send flag; ``he_src``/``he_dst`` are the receivers'
+    half-edges in CSR order, and ``starts``/``rows`` their non-empty
+    segments as :func:`segmented_min` takes them (rows relative to
+    ``lo``).  Returns the winning tags ``(C, hi - lo)`` — each
+    receiver's lexicographic minimum of its own tag and its sending
+    neighbours' — and a ``(C, half_edges)`` mask of the messages that
+    survive the rule (sender's tag equals the receiver's winner).
+    """
+    send_mask = sending[:, he_dst]
+    nb_r = R[:, he_dst]
+    nb_e = E[:, he_dst]
+    best_r, best_e = segmented_min(
+        np.where(send_mask, nb_r, _INF),
+        np.where(send_mask, nb_e, _INF),
+        starts,
+        rows,
+        R[:, lo:hi],
+        E[:, lo:hi],
+    )
+    local = he_src - lo
+    matches = send_mask & (nb_r == best_r[:, local]) & (nb_e == best_e[:, local])
+    return best_r, best_e, matches
 
 
 class FastEngine(CongestEngine):
@@ -89,28 +228,32 @@ class FastEngine(CongestEngine):
         degrees = np.diff(indptr)
         self._degrees = degrees
         n = g.n
-        self._all_v = np.arange(n, dtype=np.int64)
         # Half-edge arrays: one (src, dst) entry per directed adjacency.
-        he_src = np.repeat(self._all_v, degrees)
+        he_src = np.repeat(np.arange(n, dtype=np.int64), degrees)
         self._he_src = he_src
         self._he_dst = indices
+        # Non-empty CSR rows and their first half-edge: the segments the
+        # priority rule's segmented minima reduce over.
+        self._rows = np.nonzero(degrees > 0)[0]
+        self._row_starts = indptr[self._rows]
         src_id = ids[he_src]
         dst_id = ids[indices]
         a = np.minimum(src_id, dst_id)
         b = np.maximum(src_id, dst_id)
-        self._he_a = a
-        self._he_b = b
-        # Canonical edge index per half-edge (IDs fit 32 bits: pack exactly).
+        # Canonical edge index per half-edge (IDs fit 32 bits: pack
+        # exactly).  np.unique sorts, so edge order is (a, b) order.
         packed = (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
         uniq, edge_of_he = np.unique(packed, return_inverse=True)
         if len(uniq) != g.m:  # pragma: no cover - Graph guarantees simple
             raise CongestError("inconsistent edge count in CSR compile")
         self._edge_of_he = edge_of_he
         # Owned half-edges (src ID < dst ID), in the reference draw order:
-        # by owner vertex, then ascending neighbour ID.
+        # by owner vertex, then ascending neighbour ID (packed like the
+        # edge table: vertex indices and IDs both fit 32 bits).
         owned = np.nonzero(src_id < dst_id)[0]
-        order = np.lexsort((dst_id[owned], he_src[owned]))
-        self._owned_he = owned[order]
+        owner = he_src[owned].astype(np.uint64)
+        draw_key = (owner << np.uint64(32)) | dst_id[owned].astype(np.uint64)
+        self._owned_he = owned[np.argsort(draw_key, kind="stable")]
         owner_of_owned = he_src[self._owned_he]
         owners, counts = np.unique(owner_of_owned, return_counts=True)
         self._owners = owners
@@ -145,8 +288,8 @@ class FastEngine(CongestEngine):
             arr.nbytes
             for arr in (
                 self._ids, self._indptr, self._indices, self._degrees,
-                self._all_v, self._he_src, self._he_dst, self._he_a,
-                self._he_b, self._edge_of_he, self._owned_he, self._owners,
+                self._rows, self._row_starts, self._he_src, self._he_dst,
+                self._edge_of_he, self._owned_he, self._owners,
                 self._owner_counts, self._owner_offsets,
             )
         )
@@ -211,44 +354,6 @@ class FastEngine(CongestEngine):
     # ------------------------------------------------------------------
     # Shared phase-2 machinery
     # ------------------------------------------------------------------
-    def _mux(
-        self,
-        sending: np.ndarray,
-        R: np.ndarray,
-        A: np.ndarray,
-        B: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized §3.1 priority rule for every node at once.
-
-        Returns the per-node winning tag ``(bestR, bestA, bestB)`` — the
-        lexicographic minimum of the node's own tag and the tags of its
-        neighbours that sent this round — plus the half-edge indices
-        whose sender matches the receiver's winning tag (the messages
-        that survive the rule; all others are discarded).
-        """
-        he_src, he_dst = self._he_src, self._he_dst
-        send_mask = sending[he_dst]
-        cr = np.where(send_mask, R[he_dst], _INF)
-        ca = np.where(send_mask, A[he_dst], _INF)
-        cb = np.where(send_mask, B[he_dst], _INF)
-        owners = np.concatenate([he_src, self._all_v])
-        kr = np.concatenate([cr, R])
-        ka = np.concatenate([ca, A])
-        kb = np.concatenate([cb, B])
-        order = np.lexsort((kb, ka, kr, owners))
-        sorted_owners = owners[order]
-        first = np.searchsorted(sorted_owners, self._all_v, side="left")
-        bestR = kr[order][first]
-        bestA = ka[order][first]
-        bestB = kb[order][first]
-        matches = np.nonzero(
-            send_mask
-            & (R[he_dst] == bestR[he_src])
-            & (A[he_dst] == bestA[he_src])
-            & (B[he_dst] == bestB[he_src])
-        )[0]
-        return bestR, bestA, bestB, matches
-
     def _gather_received(
         self, matches: np.ndarray, sent_seqs: Dict[int, list]
     ) -> Dict[int, list]:
@@ -268,170 +373,57 @@ class FastEngine(CongestEngine):
         return recv
 
     # ------------------------------------------------------------------
-    # Phase 1: rank draws + selection
+    # Phase 1: rank draws
     # ------------------------------------------------------------------
-    def _draw_edge_ranks(self, rep_seed: int) -> np.ndarray:
-        """Per-edge Phase-1 ranks, bit-identical to the reference draws."""
-        g = self._net.graph
-        m = g.m
-        hi = m * m
-        edge_rank = np.zeros(m, dtype=np.int64)
-        if not len(self._owners):
-            return edge_rank
-        seed_word = int(rep_seed) & 0x7FFFFFFF
-        streams = RankStreams(seed_word, self._ids[self._owners])
-        counts = self._owner_counts
-        offsets = self._owner_offsets
-        ranks_in_draw_order = np.zeros(len(self._owned_he), dtype=np.int64)
-        for j in range(int(counts.max())):
-            active = np.nonzero(counts > j)[0]
-            draws = streams.integers(active, 1, hi + 1)
-            ranks_in_draw_order[offsets[active] + j] = draws
-        edge_rank[self._edge_of_he[self._owned_he]] = ranks_in_draw_order
+    def _draw_edge_ranks(self, rep_seeds: List[int]) -> np.ndarray:
+        """Per-edge Phase-1 ranks, one row per repetition (row ``r`` is
+        bit-identical to the reference draws under ``rep_seeds[r]``)."""
+        m = self._net.graph.m
+        edge_rank = np.zeros((len(rep_seeds), m), dtype=np.int64)
+        if len(self._owners):
+            edge_rank[:, self._edge_of_he[self._owned_he]] = draw_owned_ranks(
+                rep_seeds,
+                self._ids[self._owners],
+                self._owner_counts,
+                self._owner_offsets,
+                m * m,
+            )
         return edge_rank
 
-    def _select_minima(
-        self, edge_rank: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-node minimum incident tag ``(rank, edge)`` (round 2)."""
-        n = self._net.n
-        he_rank = edge_rank[self._edge_of_he]
-        order = np.lexsort((self._he_b, self._he_a, he_rank, self._he_src))
-        sorted_src = self._he_src[order]
-        R = np.full(n, _INF, dtype=np.int64)
-        A = np.full(n, _INF, dtype=np.int64)
-        B = np.full(n, _INF, dtype=np.int64)
-        present, first = np.unique(sorted_src, return_index=True)
-        R[present] = he_rank[order][first]
-        A[present] = self._he_a[order][first]
-        B[present] = self._he_b[order][first]
-        return R, A, B
-
-    # ------------------------------------------------------------------
-    # Chunked (cross-repetition) kernels
-    # ------------------------------------------------------------------
-    def _draw_edge_ranks_chunk(self, rep_seeds: List[int]) -> np.ndarray:
-        """Phase-1 ranks for several repetitions in one batched pass.
-
-        Row ``r`` is bit-identical to ``_draw_edge_ranks(rep_seeds[r])``:
-        the per-``(rep, owner)`` streams are independent, so stacking
-        them into one :class:`RankStreams` batch preserves every
-        stream's draw order exactly.
-        """
-        g = self._net.graph
-        m = g.m
-        hi = m * m
-        C = len(rep_seeds)
-        edge_rank = np.zeros((C, m), dtype=np.int64)
+    def _record_rank_round(self, trace: ExecutionTrace) -> None:
+        """Audit round 1: every owned edge's rank crosses it once."""
+        stats = self._begin_round(trace, 1)
         if not len(self._owners):
-            return edge_rank
-        n_own = len(self._owners)
-        words = np.asarray(
-            [int(s) & 0x7FFFFFFF for s in rep_seeds], dtype=np.uint64
+            return
+        m = self._net.graph.m
+        bits = self._bits_rank_msg
+        stats.messages = m
+        stats.total_bits = bits * m
+        stats.max_message_bits = bits
+        # Rank outboxes insert in ascending neighbour-ID order, so the
+        # first delivery is the first owner's smallest owned neighbour.
+        first_he = int(self._owned_he[0])
+        stats.max_edge = (
+            self._id_list[int(self._owners[0])],
+            self._id_list[int(self._he_dst[first_he])],
         )
-        streams = RankStreams(
-            np.repeat(words, n_own), np.tile(self._ids[self._owners], C)
-        )
-        counts = np.tile(self._owner_counts, C)
-        slots = len(self._owned_he)
-        offsets = np.tile(self._owner_offsets, C) + np.repeat(
-            np.arange(C, dtype=np.int64) * slots, n_own
-        )
-        ranks = np.zeros(C * slots, dtype=np.int64)
-        for j in range(int(self._owner_counts.max())):
-            active = np.nonzero(counts > j)[0]
-            draws = streams.integers(active, 1, hi + 1)
-            ranks[offsets[active] + j] = draws
-        edge_rank[:, self._edge_of_he[self._owned_he]] = ranks.reshape(C, slots)
-        return edge_rank
+        if self._strict and bits > self._budget:
+            raise BandwidthExceededError(1, stats.max_edge, bits, self._budget)
 
-    def _select_minima_chunk(
-        self, edge_rank: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Round-2 minimum selection for a ``(reps, edges)`` rank stack.
-
-        One lexsort over all repetitions: the sort key prepends a
-        rep-major composite owner (``r*n + src``), so the within-group
-        ordering — and therefore each row of the result — matches
-        :meth:`_select_minima` on that row exactly.
-        """
-        C = edge_rank.shape[0]
-        n = self._net.n
-        H = len(self._he_src)
-        he_rank = edge_rank[:, self._edge_of_he].ravel()
-        he_a = np.tile(self._he_a, C)
-        he_b = np.tile(self._he_b, C)
-        src_key = np.tile(self._he_src, C) + np.repeat(
-            np.arange(C, dtype=np.int64) * n, H
-        )
-        order = np.lexsort((he_b, he_a, he_rank, src_key))
-        sorted_key = src_key[order]
-        present, first = np.unique(sorted_key, return_index=True)
-        R = np.full(C * n, _INF, dtype=np.int64)
-        A = np.full(C * n, _INF, dtype=np.int64)
-        B = np.full(C * n, _INF, dtype=np.int64)
-        R[present] = he_rank[order][first]
-        A[present] = he_a[order][first]
-        B[present] = he_b[order][first]
-        return R.reshape(C, n), A.reshape(C, n), B.reshape(C, n)
-
-    def _mux_chunk(
-        self,
-        sending: np.ndarray,
-        R: np.ndarray,
-        A: np.ndarray,
-        B: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """§3.1 priority rule for a whole ``(reps, nodes)`` tag stack.
-
-        The same rep-major composite-owner trick as
-        :meth:`_select_minima_chunk`: one lexsort + searchsorted serves
-        every repetition.  Returns the winning tags as ``(reps, nodes)``
-        arrays and the surviving half-edges as a ``(reps, half_edges)``
-        boolean mask (row ``r``'s nonzeros equal the serial
-        :meth:`_mux` match indices for that repetition).
-        """
-        C, n = R.shape
-        he_src, he_dst = self._he_src, self._he_dst
-        H = len(he_src)
-        send_mask = sending[:, he_dst]
-        cr = np.where(send_mask, R[:, he_dst], _INF)
-        ca = np.where(send_mask, A[:, he_dst], _INF)
-        cb = np.where(send_mask, B[:, he_dst], _INF)
-        rep_off = (np.arange(C, dtype=np.int64) * n)[:, None]
-        owners = np.concatenate(
-            [(he_src[None, :] + rep_off).ravel(),
-             (self._all_v[None, :] + rep_off).ravel()]
-        )
-        kr = np.concatenate([cr.ravel(), R.ravel()])
-        ka = np.concatenate([ca.ravel(), A.ravel()])
-        kb = np.concatenate([cb.ravel(), B.ravel()])
-        order = np.lexsort((kb, ka, kr, owners))
-        sorted_owners = owners[order]
-        first = np.searchsorted(
-            sorted_owners, np.arange(C * n, dtype=np.int64), side="left"
-        )
-        bestR = kr[order][first].reshape(C, n)
-        bestA = ka[order][first].reshape(C, n)
-        bestB = kb[order][first].reshape(C, n)
-        matches = (
-            send_mask
-            & (R[:, he_dst] == bestR[:, he_src])
-            & (A[:, he_dst] == bestA[:, he_src])
-            & (B[:, he_dst] == bestB[:, he_src])
-        )
-        return bestR, bestA, bestB, matches
-
+    # ------------------------------------------------------------------
+    # The tester kernel
+    # ------------------------------------------------------------------
     def _run_tester_chunk(self, k: int, rep_seeds: List[int], pruner) -> list:
-        """Run ``len(rep_seeds)`` repetitions through the chunked
-        kernels; returns per-repetition :class:`RunResult` objects
-        **without** exporting their traces (the caller yields them
-        lazily, so early exit exports exactly what serial would).
+        """Run ``len(rep_seeds)`` repetitions side by side; returns
+        per-repetition :class:`RunResult` objects **without** exporting
+        their traces (callers export on yield, so early exit exports
+        exactly what serial execution would).
 
-        Per-repetition Python sequence work and the per-round audit fold
-        stay serial per repetition — they are state-dependent — but the
-        rank draws, round-2 selection, and every round's priority-rule
-        lexsort run once per chunk.
+        The rank draws, round-2 selection and every round's priority
+        rule run once per chunk over ``(repetitions, …)`` stacks;
+        per-repetition Python sequence work and the per-round audit fold
+        stay serial per repetition — they are state-dependent.  A serial
+        repetition is a chunk of one.
         """
         from ...core.algorithm1 import (
             DetectionOutcome,
@@ -449,6 +441,8 @@ class FastEngine(CongestEngine):
         n = g.n
         C = len(rep_seeds)
         ids = self._id_list
+        he_src, he_dst = self._he_src, self._he_dst
+        starts, rows = self._row_starts, self._rows
         accept = DetectionOutcome(rejects=False)
         traces = [
             ExecutionTrace(n=n, m=g.m, size_model=self._size_model)
@@ -458,21 +452,22 @@ class FastEngine(CongestEngine):
 
         # Round 1 — rank draws, batched across the whole chunk.
         with prof.phase("rank_draws"):
-            edge_rank = self._draw_edge_ranks_chunk(rep_seeds)
+            edge_rank = self._draw_edge_ranks(rep_seeds)
         for trace in traces:
-            stats = self._begin_round(trace, 1)
-            if len(self._owners):
-                bits = self._bits_rank_msg
-                stats.messages = g.m
-                stats.total_bits = bits * g.m
-                stats.max_message_bits = bits
-                first_owner = int(self._owners[0])
-                first_he = int(self._owned_he[0])
-                stats.max_edge = (ids[first_owner], int(self._he_b[first_he]))
+            self._record_rank_round(trace)
 
-        # Round 2 — minimum selection (one lexsort) + seed broadcast.
+        # Round 2 — per-node minimum incident tag; every non-isolated
+        # node broadcasts its seed sequence under it.
         with prof.phase("min_select"):
-            R, A, B = self._select_minima_chunk(edge_rank)
+            no_tag = np.full((C, n), _INF, dtype=np.int64)
+            R, E = segmented_min(
+                edge_rank[:, self._edge_of_he],
+                self._edge_of_he[None, :],
+                starts,
+                rows,
+                no_tag,
+                no_tag,
+            )
         sending = np.broadcast_to(self._degrees > 0, (C, n)).copy()
         sender_arr = np.nonzero(self._degrees > 0)[0]
         sent_seqs = [
@@ -489,15 +484,21 @@ class FastEngine(CongestEngine):
                     np.ones(len(sender_arr), dtype=np.int64),
                 )
 
+        # The round-2 send of the default pruner has a closed form: the
+        # received sequences are singleton seeds (none containing the
+        # receiving ID), and HittingSetPruner keeps exactly the first
+        # k-1 of them in sorted order (the residues are disjoint
+        # singletons, so the q = k-2 hitting-set test passes while at
+        # most k-2 sequences are kept).  Skipping the generic pruner for
+        # this one round removes most per-node Python work.
         seed_shortcut = type(pruner) is HittingSetPruner
 
-        # Rounds 3..1+⌊k/2⌋ — one chunked mux per round.
+        # Rounds 3..1+⌊k/2⌋ — prioritized multiplexed Phase 2.
         for t in range(2, k // 2 + 1):
             with prof.phase("priority_mux"):
-                bestR, bestA, bestB, match_mask = self._mux_chunk(
-                    sending, R, A, B
+                R, E, match_mask = priority_mux(
+                    R, E, sending, he_src, he_dst, starts, rows, 0, n
                 )
-            R, A, B = bestR, bestA, bestB
             new_sending = np.zeros((C, n), dtype=bool)
             per_seq = self._seq_bits(t)
             for r in range(C):
@@ -541,23 +542,26 @@ class FastEngine(CongestEngine):
                     )
             sending = new_sending
 
-        # Final decision per repetition (no further communication).
+        # Final decision (no further communication round).  At this
+        # point sent_seqs / (R, E) hold the final round's non-empty sends
+        # and the tags they were sent under.
         with prof.phase("priority_mux"):
-            bestR, bestA, bestB, match_mask = self._mux_chunk(sending, R, A, B)
+            bestR, bestE, match_mask = priority_mux(
+                R, E, sending, he_src, he_dst, starts, rows, 0, n
+            )
+        # Nodes whose winning tag moved off the one they last sent under.
+        switched = (R != bestR) | (E != bestE)
         runs = []
         for r in range(C):
             with prof.phase("priority_mux"):
                 matches = np.nonzero(match_mask[r])[0]
                 recv = self._gather_received(matches, sent_seqs[r])
             with prof.phase("decision"):
+                stale = set(np.flatnonzero(switched[r]).tolist())
                 for v, lst in recv.items():
                     received = sort_sequences(lst)
                     own = sent_seqs[r].get(v, [])
-                    if own and not (
-                        R[r, v] == bestR[r, v]
-                        and A[r, v] == bestA[r, v]
-                        and B[r, v] == bestB[r, v]
-                    ):
+                    if own and v in stale:
                         own = []  # stale tag: the node switched executions
                     cycle = find_detection_evidence(ids[v], k, own, received)
                     if cycle is not None:
@@ -568,14 +572,26 @@ class FastEngine(CongestEngine):
             runs.append(RunResult(outputs[r], traces[r]))
         return runs
 
+    # ------------------------------------------------------------------
+    # Engine entry points
+    # ------------------------------------------------------------------
+    def run_tester_repetition(
+        self, k: int, rep_seed: int, *, pruner=None
+    ) -> RunResult:
+        """One tester repetition: the batched kernel on a chunk of one
+        seed.  Verdict-identical to the reference engine under the same
+        ``rep_seed``."""
+        (run,) = self._run_tester_chunk(k, [int(rep_seed)], pruner)
+        return self._finish(run)
+
     def iter_tester_chunk(self, k: int, rep_seeds, *, pruner=None):
         """Chunked tester iteration: :attr:`rep_chunk` repetitions per
-        batched kernel pass, each repetition's telemetry export deferred
-        to its yield.  Falls back to the serial base path for chunk size
-        1, strict-bandwidth audits (the mid-repetition raise must happen
-        in execution order), and edgeless graphs.
+        kernel pass, each repetition's telemetry export deferred to its
+        yield.  Chunk size 1 and strict-bandwidth audits take the base
+        loop of :meth:`run_tester_repetition` calls (a strict raise must
+        happen in execution order).
         """
-        if self.rep_chunk <= 1 or self._strict or self._net.graph.m == 0:
+        if self.rep_chunk <= 1 or self._strict:
             yield from super().iter_tester_chunk(k, rep_seeds, pruner=pruner)
             return
         seeds = [int(s) for s in rep_seeds]
@@ -584,147 +600,6 @@ class FastEngine(CongestEngine):
                 k, seeds[i: i + self.rep_chunk], pruner
             ):
                 yield self._finish(run)
-
-    # ------------------------------------------------------------------
-    # Engine entry points
-    # ------------------------------------------------------------------
-    def run_tester_repetition(
-        self, k: int, rep_seed: int, *, pruner=None
-    ) -> RunResult:
-        """One tester repetition, batched: vectorized rank draws and
-        tag multiplexing, per-node sequence work only where messages
-        survive the priority rule.  Verdict-identical to the
-        reference engine under the same ``rep_seed``."""
-        from ...core.algorithm1 import (
-            DetectionOutcome,
-            find_detection_evidence,
-            process_phase2_round,
-        )
-        from ...core.phase1 import protocol_rounds
-        from ...core.pruning import HittingSetPruner
-        from ...core.sequences import sort_sequences
-
-        self._check_k(k)
-        pruner = pruner if pruner is not None else HittingSetPruner()
-        prof = self._profiler
-        g = self._net.graph
-        n = g.n
-        ids = self._id_list
-        trace = ExecutionTrace(n=n, m=g.m, size_model=self._size_model)
-        accept = DetectionOutcome(rejects=False)
-        outputs: Dict[int, DetectionOutcome] = {v: accept for v in range(n)}
-        if g.m == 0:
-            # Edgeless network: every node is silent and accepts (same as
-            # the reference scheduler running the programs to completion).
-            for r in range(1, protocol_rounds(k) + 1):
-                self._begin_round(trace, r)
-            return RunResult(outputs, trace)
-
-        # Round 1 — every owned edge's rank crosses the edge (one message).
-        stats = self._begin_round(trace, 1)
-        with prof.phase("rank_draws"):
-            edge_rank = self._draw_edge_ranks(rep_seed)
-        if len(self._owners):
-            bits = self._bits_rank_msg
-            stats.messages = g.m
-            stats.total_bits = bits * g.m
-            stats.max_message_bits = bits
-            # Rank outboxes insert in ascending neighbour-ID order, so
-            # the first delivery is the first owner's smallest owned ID.
-            first_owner = int(self._owners[0])
-            first_he = int(self._owned_he[0])
-            stats.max_edge = (ids[first_owner], int(self._he_b[first_he]))
-            if self._strict and bits > self._budget:
-                raise BandwidthExceededError(1, stats.max_edge, bits, self._budget)
-
-        # Round 2 — minimum selection; every non-isolated node broadcasts
-        # its seed sequence under its chosen tag.
-        stats = self._begin_round(trace, 2)
-        with prof.phase("min_select"):
-            R, A, B = self._select_minima(edge_rank)
-        sending = self._degrees > 0
-        sender_arr = np.nonzero(sending)[0]
-        sent_seqs: Dict[int, list] = {v: [(ids[v],)] for v in sender_arr.tolist()}
-        seed_bits = self._bundle_bits(1, 1, tagged=True)
-        with prof.phase("audit_fold"):
-            self._record_broadcasts(
-                stats,
-                2,
-                sender_arr,
-                np.full(len(sender_arr), seed_bits, dtype=np.int64),
-                np.ones(len(sender_arr), dtype=np.int64),
-            )
-
-        # The round-2 send of the default pruner has a closed form: the
-        # received sequences are singleton seeds (none containing the
-        # receiving ID), and HittingSetPruner keeps exactly the first
-        # k-1 of them in sorted order (the residues are disjoint
-        # singletons, so the q = k-2 hitting-set test passes while at
-        # most k-2 sequences are kept).  Skipping the generic pruner for
-        # this one round removes most per-node Python work.
-        seed_shortcut = type(pruner) is HittingSetPruner
-
-        # Rounds 3..1+⌊k/2⌋ — prioritized multiplexed Phase 2.
-        for t in range(2, k // 2 + 1):
-            stats = self._begin_round(trace, t + 1)
-            with prof.phase("priority_mux"):
-                bestR, bestA, bestB, matches = self._mux(sending, R, A, B)
-                recv = self._gather_received(matches, sent_seqs)
-            R, A, B = bestR, bestA, bestB
-            sending = np.zeros(n, dtype=bool)
-            sent_seqs = {}
-            with prof.phase("round_apply"):
-                if t == 2 and seed_shortcut:
-                    keep = k - 1
-                    for v, lst in recv.items():
-                        lst.sort()
-                        my = ids[v]
-                        sent_seqs[v] = [s + (my,) for s in lst[:keep]]
-                        sending[v] = True
-                else:
-                    for v, lst in recv.items():
-                        send = process_phase2_round(
-                            ids[v], sort_sequences(lst), k, t, pruner
-                        )
-                        if send:
-                            sent_seqs[v] = send
-                            sending[v] = True
-            per_seq = self._seq_bits(t)
-            sender_arr = np.fromiter(sent_seqs, dtype=np.int64, count=len(sent_seqs))
-            sender_arr.sort()
-            lens = np.fromiter(
-                (len(sent_seqs[int(v)]) for v in sender_arr),
-                dtype=np.int64,
-                count=len(sender_arr),
-            )
-            with prof.phase("audit_fold"):
-                self._record_broadcasts(
-                    stats,
-                    t + 1,
-                    sender_arr,
-                    self._bits_tagged_overhead + lens * per_seq,
-                    lens,
-                )
-
-        # Final decision (no further communication round).  At this
-        # point sent_seqs / (R, A, B) hold the final round's non-empty
-        # sends and the tags they were sent under.
-        with prof.phase("priority_mux"):
-            bestR, bestA, bestB, matches = self._mux(sending, R, A, B)
-            recv = self._gather_received(matches, sent_seqs)
-        with prof.phase("decision"):
-            for v, lst in recv.items():
-                received = sort_sequences(lst)
-                own = sent_seqs.get(v, [])
-                if own and not (
-                    R[v] == bestR[v] and A[v] == bestA[v] and B[v] == bestB[v]
-                ):
-                    own = []  # stale tag: the node switched executions
-                cycle = find_detection_evidence(ids[v], k, own, received)
-                if cycle is not None:
-                    outputs[v] = DetectionOutcome(rejects=True, cycle=cycle)
-        assert trace.num_rounds == protocol_rounds(k)
-        return self._finish(RunResult(outputs, trace))
 
     # ------------------------------------------------------------------
     def run_detect(

@@ -14,13 +14,17 @@ Design, and why determinism survives the sharding:
   slice ``[indptr[lo_s], indptr[hi_s])``.  Cut points are chosen so each
   shard carries roughly ``2m/P`` half-edges.
 * **Mutable round state lives in ``multiprocessing.shared_memory``.**
-  The per-edge rank array, the per-node execution tags ``(R, A, B)``
-  (double-buffered against ``bestR/bestA/bestB``), and the
-  sending/sending-next flags are numpy views over one shared block, so
-  workers read any neighbour's tag directly and write only their own
-  node range — disjoint slices, no locks needed.
+  The per-edge rank stack, the per-node ``(rank, edge index)``
+  execution tags ``(R, E)`` (double-buffered against ``bestR/bestE``),
+  and the sending/sending-next flags are numpy views over one shared
+  block, so workers read any neighbour's tag directly and write only
+  their own node range — disjoint slices, no locks needed.
+* **One priority-rule kernel.**  Each shard runs the fast engine's
+  :func:`~repro.congest.engine.fast.segmented_min` /
+  :func:`~repro.congest.engine.fast.priority_mux` over its contiguous
+  half-edge slice, with the segment starts offset by the slice start.
 * **RNG cannot be perturbed by shard boundaries.**  Phase-1 ranks come
-  from :class:`~repro.congest.engine.fastrng.RankStreams`, which derives
+  from :func:`~repro.congest.engine.fast.draw_owned_ranks`, which draws
   one independent ``SeedSequence((rep_seed & 0x7FFFFFFF, node_id))``
   stream per node.  A shard draws exactly the streams of the owners it
   holds, in the same per-owner order as the fast engine — the draws are
@@ -74,8 +78,7 @@ from ..instrumentation import ExecutionTrace
 from ..network import Network
 from ..scheduler import RunResult
 from .base import CongestEngine
-from .fast import _INF, FastEngine
-from .fastrng import RankStreams
+from .fast import _INF, FastEngine, draw_owned_ranks, priority_mux, segmented_min
 
 __all__ = ["ShardedEngine", "default_shard_count"]
 
@@ -189,11 +192,13 @@ class _ShardWorker:
         self.degrees = engine._degrees
         self.he_src = engine._he_src
         self.he_dst = engine._he_dst
-        self.he_a = engine._he_a
-        self.he_b = engine._he_b
         self.edge_of_he = engine._edge_of_he
         self.h0 = int(self.indptr[lo])
         self.h1 = int(self.indptr[hi])
+        # This shard's non-empty rows (relative to lo) and their segment
+        # starts within the half-edge slice [h0, h1).
+        self.rows_s = np.nonzero(self.degrees[lo:hi] > 0)[0]
+        self.starts_s = self.indptr[lo:hi][self.rows_s] - self.h0
         # Owned-edge draw schedule restricted to this shard's owners.
         # ``_owned_he`` is grouped by ascending owner, so the restriction
         # is a contiguous slice and preserves the global draw order.
@@ -224,11 +229,9 @@ class _ShardWorker:
         # Shared mutable state (numpy views over one shm block).
         self.edge_rank = state["edge_rank"]
         self.R = state["R"]
-        self.A = state["A"]
-        self.B = state["B"]
+        self.E = state["E"]
         self.bestR = state["bestR"]
-        self.bestA = state["bestA"]
-        self.bestB = state["bestB"]
+        self.bestE = state["bestE"]
         self.sending = state["sending"]
         self.sending_next = state["sending_next"]
         # Per-repetition worker-local state.
@@ -243,8 +246,6 @@ class _ShardWorker:
         t0 = time.perf_counter()
         cmd = msg[0]
         if cmd == "begin":
-            out = self.begin_rep(*msg[1:])
-        elif cmd == "beginc":
             out = self.begin_chunk(*msg[1:])
         elif cmd == "select":
             out = self.select_and_seed(*msg[1:])
@@ -308,64 +309,28 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     # Tester kernels
     # ------------------------------------------------------------------
-    def begin_rep(self, k: int, rep_seed: int, pruner) -> None:
-        """Reset per-repetition state and draw this shard's edge ranks.
-
-        The draws replay :meth:`FastEngine._draw_edge_ranks` restricted
-        to this shard's owners: per-node streams are independent, so the
-        restriction is bit-exact.
-        """
-        self.k = k
-        self._resolve_pruner(pruner)
-        self.sent_seqs = {}
-        if not len(self.owners_s):
-            return None
-        hi_rank = self.m * self.m
-        seed_word = int(rep_seed) & 0x7FFFFFFF
-        streams = RankStreams(seed_word, self.ids[self.owners_s])
-        ranks = np.zeros(len(self.owned_he_s), dtype=np.int64)
-        counts, offsets = self.counts_s, self.offsets_s
-        for j in range(int(counts.max())):
-            active = np.nonzero(counts > j)[0]
-            draws = streams.integers(active, 1, hi_rank + 1)
-            ranks[offsets[active] + j] = draws
-        self.edge_rank[0, self.edge_of_he[self.owned_he_s]] = ranks
-        return None
-
     def begin_chunk(self, k: int, rep_seeds: Sequence[int], pruner) -> None:
-        """Draw this shard's edge ranks for a whole repetition chunk.
+        """Reset per-repetition state and draw this shard's edge ranks
+        for a chunk of repetitions (a serial repetition is a chunk of
+        one).
 
-        One batched :class:`RankStreams` pass covers every
-        ``(repetition, owner)`` stream; row ``r`` of the shared rank
-        stack ends up bit-identical to ``begin_rep(k, rep_seeds[r])``
-        because the per-stream draw order is unchanged.
+        :func:`~repro.congest.engine.fast.draw_owned_ranks` over this
+        shard's owners only: per-``(repetition, owner)`` streams are
+        independent, so row ``r`` of the shared rank stack is bit-exact
+        whatever the shard boundaries.
         """
         self.k = k
         self._resolve_pruner(pruner)
         self.sent_seqs = {}
-        if not len(self.owners_s):
-            return None
-        hi_rank = self.m * self.m
-        C = len(rep_seeds)
-        n_own = len(self.owners_s)
-        words = np.asarray(
-            [int(s) & 0x7FFFFFFF for s in rep_seeds], dtype=np.uint64
-        )
-        streams = RankStreams(
-            np.repeat(words, n_own), np.tile(self.ids[self.owners_s], C)
-        )
-        counts = np.tile(self.counts_s, C)
-        slots = len(self.owned_he_s)
-        offsets = np.tile(self.offsets_s, C) + np.repeat(
-            np.arange(C, dtype=np.int64) * slots, n_own
-        )
-        ranks = np.zeros(C * slots, dtype=np.int64)
-        for j in range(int(self.counts_s.max())):
-            active = np.nonzero(counts > j)[0]
-            draws = streams.integers(active, 1, hi_rank + 1)
-            ranks[offsets[active] + j] = draws
-        cols = self.edge_of_he[self.owned_he_s]
-        self.edge_rank[:C, cols] = ranks.reshape(C, slots)
+        if len(self.owners_s):
+            cols = self.edge_of_he[self.owned_he_s]
+            self.edge_rank[: len(rep_seeds), cols] = draw_owned_ranks(
+                rep_seeds,
+                self.ids[self.owners_s],
+                self.counts_s,
+                self.offsets_s,
+                self.m * self.m,
+            )
         return None
 
     def select_and_seed(self, rep: int = 0):
@@ -374,17 +339,18 @@ class _ShardWorker:
         names the row of the shared rank stack to read (chunked runs
         pre-draw several repetitions' ranks)."""
         lo, hi, h0, h1 = self.lo, self.hi, self.h0, self.h1
-        src = self.he_src[h0:h1]
-        he_rank = self.edge_rank[rep, self.edge_of_he[h0:h1]]
-        order = np.lexsort((self.he_b[h0:h1], self.he_a[h0:h1], he_rank, src))
-        sorted_src = src[order]
-        self.R[lo:hi] = _INF
-        self.A[lo:hi] = _INF
-        self.B[lo:hi] = _INF
-        present, first = np.unique(sorted_src, return_index=True)
-        self.R[present] = he_rank[order][first]
-        self.A[present] = self.he_a[h0:h1][order][first]
-        self.B[present] = self.he_b[h0:h1][order][first]
+        he_edge = self.edge_of_he[h0:h1]
+        no_tag = np.full((1, hi - lo), _INF, dtype=np.int64)
+        R, E = segmented_min(
+            self.edge_rank[rep: rep + 1, he_edge],
+            he_edge[None, :],
+            self.starts_s,
+            self.rows_s,
+            no_tag,
+            no_tag,
+        )
+        self.R[lo:hi] = R[0]
+        self.E[lo:hi] = E[0]
         send_local = self.degrees[lo:hi] > 0
         self.sending[lo:hi] = send_local
         senders = np.nonzero(send_local)[0] + lo
@@ -409,29 +375,19 @@ class _ShardWorker:
         lo, hi, h0, h1 = self.lo, self.hi, self.h0, self.h1
         src = self.he_src[h0:h1]
         dst = self.he_dst[h0:h1]
-        R, A, B = self.R, self.A, self.B
-        send_mask = self.sending[dst]
-        cr = np.where(send_mask, R[dst], _INF)
-        ca = np.where(send_mask, A[dst], _INF)
-        cb = np.where(send_mask, B[dst], _INF)
-        local = np.arange(lo, hi, dtype=np.int64)
-        owners = np.concatenate([src, local])
-        kr = np.concatenate([cr, R[lo:hi]])
-        ka = np.concatenate([ca, A[lo:hi]])
-        kb = np.concatenate([cb, B[lo:hi]])
-        order = np.lexsort((kb, ka, kr, owners))
-        sorted_owners = owners[order]
-        first = np.searchsorted(sorted_owners, local, side="left")
-        bR = kr[order][first]
-        bA = ka[order][first]
-        bB = kb[order][first]
-        matches = np.nonzero(
-            send_mask
-            & (R[dst] == bR[src - lo])
-            & (A[dst] == bA[src - lo])
-            & (B[dst] == bB[src - lo])
-        )[0]
-        return src[matches], dst[matches], bR, bA, bB
+        bR, bE, match_mask = priority_mux(
+            self.R[None, :],
+            self.E[None, :],
+            self.sending[None, :],
+            src,
+            dst,
+            self.starts_s,
+            self.rows_s,
+            lo,
+            hi,
+        )
+        matches = np.nonzero(match_mask[0])[0]
+        return src[matches], dst[matches], bR[0], bE[0]
 
     def _gather(
         self, receivers: np.ndarray, senders: np.ndarray, halo
@@ -472,11 +428,10 @@ class _ShardWorker:
         from ...core.sequences import sort_sequences
 
         lo, hi = self.lo, self.hi
-        receivers, senders, bR, bA, bB = self._mux_local()
+        receivers, senders, bR, bE = self._mux_local()
         recv = self._gather(receivers, senders, halo)
         self.bestR[lo:hi] = bR
-        self.bestA[lo:hi] = bA
-        self.bestB[lo:hi] = bB
+        self.bestE[lo:hi] = bE
         new_sent: Dict[int, list] = {}
         send_next = np.zeros(hi - lo, dtype=bool)
         if t == 2 and self.seed_shortcut:
@@ -515,16 +470,15 @@ class _ShardWorker:
         from ...core.sequences import sort_sequences
 
         lo = self.lo
-        receivers, senders, bR, bA, bB = self._mux_local()
+        receivers, senders, bR, bE = self._mux_local()
         recv = self._gather(receivers, senders, halo)
-        R, A, B = self.R, self.A, self.B
+        switched = (self.R[lo: self.hi] != bR) | (self.E[lo: self.hi] != bE)
+        stale = set((np.flatnonzero(switched) + lo).tolist())
         rejects: Dict[int, tuple] = {}
         for v, lst in recv.items():
             received = sort_sequences(lst)
             own = self.sent_seqs.get(v, [])
-            if own and not (
-                R[v] == bR[v - lo] and A[v] == bA[v - lo] and B[v] == bB[v - lo]
-            ):
+            if own and v in stale:
                 own = []  # stale tag: the node switched executions
             cycle = find_detection_evidence(self.id_list[v], self.k, own, received)
             if cycle is not None:
@@ -729,8 +683,8 @@ class ShardedEngine(FastEngine):
         m = self._net.graph.m
         cap = max(1, self.rep_chunk)
         self._rep_capacity = cap
-        int_fields = ("R", "A", "B", "bestR", "bestA", "bestB")
-        nbytes = 8 * (cap * m + 6 * n) + 2 * n
+        int_fields = ("R", "E", "bestR", "bestE")
+        nbytes = 8 * (cap * m + len(int_fields) * n) + 2 * n
         shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
         state: Dict[str, np.ndarray] = {}
         state["edge_rank"] = np.ndarray(
@@ -917,8 +871,7 @@ class ShardedEngine(FastEngine):
         become current (one parent-side copy, after the barrier)."""
         st = self._state
         np.copyto(st["R"], st["bestR"])
-        np.copyto(st["A"], st["bestA"])
-        np.copyto(st["B"], st["bestB"])
+        np.copyto(st["E"], st["bestE"])
         np.copyto(st["sending"], st["sending_next"])
 
     # ------------------------------------------------------------------
@@ -931,23 +884,16 @@ class ShardedEngine(FastEngine):
         multiplexed rounds run shard-by-shard (pooled or inline), audits
         merge in fixed shard order.  Verdict- and trace-identical to the
         ``reference``/``fast`` engines under the same ``rep_seed``."""
-        from ...core.algorithm1 import DetectionOutcome
-        from ...core.phase1 import protocol_rounds
-
+        if self._net.graph.m == 0:
+            # Edgeless network: no shard has work, so the in-process
+            # kernel runs the empty rounds and the pool stays down.
+            return super().run_tester_repetition(k, rep_seed, pruner=pruner)
         self._check_k(k)
-        g = self._net.graph
-        n = g.n
-        trace = ExecutionTrace(n=n, m=g.m, size_model=self._size_model)
-        accept = DetectionOutcome(rejects=False)
-        outputs: Dict[int, DetectionOutcome] = {v: accept for v in range(n)}
-        if g.m == 0:
-            for r in range(1, protocol_rounds(k) + 1):
-                self._begin_round(trace, r)
-            return RunResult(outputs, trace)
-
         pooled = self._pool_for(pruner)
         P = len(self._workers)
-        self._dispatch("begin", [("begin", k, rep_seed, pruner)] * P, pooled)
+        self._dispatch(
+            "begin", [("begin", k, [int(rep_seed)], pruner)] * P, pooled
+        )
         return self._finish(self._run_tester_rounds(k, 0, pooled))
 
     def _run_tester_rounds(self, k: int, rep: int, pooled: bool) -> RunResult:
@@ -966,16 +912,7 @@ class ShardedEngine(FastEngine):
 
         # Round 1 — ranks cross every edge; the audit is uniform, so the
         # parent records it directly (exactly as the fast engine does).
-        stats = self._begin_round(trace, 1)
-        bits = self._bits_rank_msg
-        stats.messages = g.m
-        stats.total_bits = bits * g.m
-        stats.max_message_bits = bits
-        first_owner = int(self._owners[0])
-        first_he = int(self._owned_he[0])
-        stats.max_edge = (self._id_list[first_owner], int(self._he_b[first_he]))
-        if self._strict and bits > self._budget:
-            raise BandwidthExceededError(1, stats.max_edge, bits, self._budget)
+        self._record_rank_round(trace)
 
         # Round 2 — minimum selection + seed broadcast, per shard.
         stats = self._begin_round(trace, 2)
@@ -1009,7 +946,7 @@ class ShardedEngine(FastEngine):
         then the rounds replay per repetition against the pre-drawn
         rank rows.  Telemetry export is deferred to each yield; the
         serial base path handles chunk size 1, strict audits, and
-        edgeless graphs.  Note: the per-chunk ``beginc`` dispatch
+        edgeless graphs.  Note: one ``beginc`` dispatch per chunk
         replaces per-repetition ``begin`` dispatches, so the
         engine-internal ``repro_shard_dispatch_total`` diagnostics
         differ from serial runs; protocol-level counters and traces do
@@ -1027,9 +964,7 @@ class ShardedEngine(FastEngine):
         P = len(self._workers)
         for i in range(0, len(seeds), chunk):
             batch = seeds[i: i + chunk]
-            self._dispatch(
-                "beginc", [("beginc", k, batch, pruner)] * P, pooled
-            )
+            self._dispatch("beginc", [("begin", k, batch, pruner)] * P, pooled)
             for r in range(len(batch)):
                 yield self._finish(self._run_tester_rounds(k, r, pooled))
 

@@ -533,22 +533,27 @@ def ck_free_graph(n: int, k: int, seed=None, attempts: int = 64) -> Graph:
         if sides.sum() in (0, n):  # force both sides non-empty
             sides[0] = 0
             sides[-1] = 1
-        left = [i for i in range(n) if sides[i] == 0]
-        right = [i for i in range(n) if sides[i] == 1]
+        left_arr = np.flatnonzero(sides == 0)
+        right_arr = np.flatnonzero(sides == 1)
+        left, right = left_arr.tolist(), right_arr.tolist()
         g = Graph(n)
         # Spanning "zigzag" to connect, then random cross edges.
-        seq = left + right
         for a, b in zip(left, right):
             g.add_edge(a, b)
-        # connect components greedily across the two sides
-        comp_anchor = left[0]
-        for v in seq:
-            if not _bfs_reachable(g, comp_anchor, v):
-                partner = right[0] if v in left else left[0]
-                g.add_edge(v, partner, strict=False)
+        # Connect the components to the anchor left[0], walking the left
+        # side, then the right.  The zigzag is a matching, so its
+        # components are the pairs (left[i], right[i]) and the unmatched
+        # vertices.  Every left vertex after the anchor is still cut off
+        # when reached and joins through right[0] (the anchor's pair),
+        # bringing its own pair along; after that only the unmatched
+        # right vertices are cut off, and they join through left[0].
+        for v in left[1:]:
+            g.add_edge(v, right[0])
+        for v in right[len(left):]:
+            g.add_edge(v, left[0])
         for _ in range(2 * n):
-            u = int(rng.choice(left))
-            v = int(rng.choice(right))
+            u = int(rng.choice(left_arr))
+            v = int(rng.choice(right_arr))
             if u != v and not g.has_edge(u, v):
                 g.add_edge(u, v)
         return g
@@ -593,24 +598,6 @@ def chorded_cycle_graph(k: int, chord: Tuple[int, int] = (0, 2)) -> Graph:
 # ---------------------------------------------------------------------------
 # Internal helpers
 # ---------------------------------------------------------------------------
-def _bfs_reachable(g: Graph, s: int, t: int) -> bool:
-    if s == t:
-        return True
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if v == t:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return False
-
-
 def _bfs_distance_at_most(g: Graph, s: int, t: int, limit: int) -> bool:
     """Whether dist(s, t) <= limit."""
     if s == t:

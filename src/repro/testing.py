@@ -185,6 +185,8 @@ DEFAULT_EQUIVALENCE_INSTANCES: Tuple[Tuple[str, Dict], ...] = (
     ("flower", {"paths": 4, "k": 5}),
     ("figure1", {}),
     ("eps-far", {"n": 40, "k": 5, "eps": 0.1}),
+    # Sparse G(n, p) with isolated vertices: zero-degree CSR rows.
+    ("gnp", {"n": 40, "p": 0.05}),
 )
 
 
@@ -245,7 +247,8 @@ def compare_engines_once(
     against it (engines may be spec strings such as ``"sharded:4"``).
     Compared per run: the rejecting-vertex set, each rejector's cycle
     evidence, the round count, and the per-round audit aggregates
-    (message count, total/max bits, max sequences per message).
+    (message count, total/max bits, the edge carrying the first maximum,
+    max sequences per message).
     """
     if len(engines) < 2:
         raise ValueError("compare_engines_once needs at least two engines")
@@ -284,7 +287,7 @@ def compare_engines_once(
             miss("rounds", f"{a.trace.num_rounds} != {b.trace.num_rounds}")
         for ra_, rb_ in zip(a.trace.rounds, b.trace.rounds):
             for attr in ("messages", "total_bits", "max_message_bits",
-                         "max_sequences"):
+                         "max_edge", "max_sequences"):
                 if getattr(ra_, attr) != getattr(rb_, attr):
                     miss(f"round{ra_.round_index}.{attr}",
                          f"{getattr(ra_, attr)} != {getattr(rb_, attr)}")

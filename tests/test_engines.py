@@ -6,12 +6,15 @@ Layers covered here:
 * bit-exactness of the vectorized RNG pipeline (``fastrng``) against
   per-node numpy Generators — the foundation of verdict equivalence;
 * engine-level equivalence on the registry's stress instances (seeded
-  grid over theta / flower / figure1 / eps-far, tester + detect);
+  grid over theta / flower / figure1 / eps-far / sparse gnp, tester +
+  detect);
 * tester-level equality of full :class:`TesterResult` objects;
 * the campaign runner's ``engines`` factor (same seeds, same outcomes,
   resumable stores, backward-compatible run ids);
 * CLI ``--engine`` selection and the clean no-numpy error path.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -91,6 +94,39 @@ class TestFastRngExactness:
         with pytest.raises(ValueError):
             RankStreams(0, np.array([2 ** 32], dtype=np.uint64))
 
+    @pytest.mark.parametrize("ids", [None, RandomPermutationIds(seed=2)])
+    def test_engine_ranks_match_reference_draws_with_hubs(self, ids):
+        # Two hubs own far more edges than the batched draw loop serves
+        # (they take the per-owner Generator path); the leaves and the
+        # path among them take the batched path.  Every edge's rank, in
+        # every repetition of a chunk, must be the reference node's draw.
+        from repro.core.phase1 import draw_ranks
+
+        g = star_graph(90)
+        for leaf in range(1, 60):
+            g.add_edge(1, leaf + 1, strict=False)
+        for leaf in range(60, 90):
+            g.add_edge(leaf, leaf + 1)
+        net = Network(g) if ids is None else Network(g, ids)
+        eng = create_engine("fast", net)
+        seeds = [0, 7, 2 ** 31 + 5]
+        ranks = eng._draw_edge_ranks(seeds)
+        edges = sorted(
+            (min(net.ids()[u], net.ids()[v]), max(net.ids()[u], net.ids()[v]))
+            for u, v in g.edges()
+        )
+        for row, seed in zip(ranks, seeds):
+            expected = {}
+            for v in g.vertices():
+                my_id = net.ids()[v]
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((seed & 0x7FFFFFFF, my_id))
+                )
+                nbrs = tuple(net.ids()[u] for u in g.neighbors(v))
+                for draw in draw_ranks(my_id, nbrs, g.m, rng):
+                    expected[draw.edge] = draw.rank
+            assert row.tolist() == [expected[e] for e in edges]
+
 
 class TestEngineRegistry:
     def test_names_and_availability(self):
@@ -127,8 +163,8 @@ class TestCrossEngineEquivalence:
             ks=(3, 4, 5, 6, 7),
             seeds=(0, 1),
         )
-        # 4 instances x 5 ks x (2 tester seeds + 1 deterministic detect)
-        assert report.comparisons == 60
+        # 5 instances x 5 ks x (2 tester seeds + 1 deterministic detect)
+        assert report.comparisons == 75
         assert report.ok, report.mismatches
 
     @pytest.mark.parametrize("assigner", [None, ReverseIds(),
@@ -181,6 +217,24 @@ class TestCrossEngineEquivalence:
             assert all(not o.rejects for o in run.outputs.values())
             assert run.trace.num_rounds == 3
 
+    def test_edgeless_runs_export_the_same_telemetry(self):
+        # An edgeless repetition is still a completed run: every backend
+        # exports its (empty-round) trace exactly as the reference does.
+        from repro.graphs.graph import Graph
+        from repro.obs import Telemetry
+
+        net = Network(Graph(5))
+        exported = []
+        for engine in ENGINE_NAMES:
+            tel = Telemetry()
+            create_engine(engine, net, telemetry=tel).run_tester_repetition(5, 0)
+            exported.append({
+                name: family for name, family in tel.summary().items()
+                if name.startswith("repro_congest_")
+            })
+        assert exported[0]
+        assert all(e == exported[0] for e in exported[1:])
+
     def test_star_graph_and_isolated_vertices(self):
         g = star_graph(6)          # C_k-free, plus add isolated vertices
         g.add_vertex()
@@ -216,6 +270,57 @@ class TestCrossEngineEquivalence:
                                 strict_bandwidth=True)
             with pytest.raises(BandwidthExceededError):
                 eng.run_tester_repetition(6, 0)
+
+    @pytest.mark.parametrize(
+        "family, params, k",
+        [("flower", {"paths": 5, "k": 6}, 6), ("gnp", {"n": 60, "p": 0.1}, 7)],
+    )
+    def test_strict_bandwidth_raise_parity(self, monkeypatch, family, params, k):
+        # Sweeping the budget moves the first oversized message through
+        # rounds 1..4.  Every backend, and the chunked tester (which runs
+        # strict audits in chunks of one), must stop at the same message
+        # as the reference: same round, edge, bits and budget.
+        g = registry.build_graph(family, seed=0, **params)
+        default_model = Network.default_size_model
+
+        def raised(call):
+            try:
+                call()
+            except BandwidthExceededError as exc:
+                return exc.round_index, exc.edge, exc.bits, exc.budget
+            return None
+
+        def repetition(spec, net):
+            eng = create_engine(spec, net, strict_bandwidth=True)
+            try:
+                return raised(lambda: eng.run_tester_repetition(k, 0))
+            finally:
+                if hasattr(eng, "close"):
+                    eng.close()
+
+        def tester(spec):
+            t = CkFreenessTester(
+                k, 0.1, repetitions=4, engine=spec, strict_bandwidth=True
+            )
+            return raised(lambda: t.run(g, seed=0, stop_on_reject=False))
+
+        tripped = set()
+        for factor in range(1, 40):
+            monkeypatch.setattr(
+                Network,
+                "default_size_model",
+                lambda self, f=factor: dataclasses.replace(
+                    default_model(self), budget_factor=f
+                ),
+            )
+            net = Network(g)
+            expected = repetition("reference", net)
+            assert repetition("fast", net) == expected, factor
+            assert repetition("sharded:2", net) == expected, factor
+            assert tester("fast:chunk=4") == tester("reference"), factor
+            if expected is not None:
+                tripped.add(expected[0])
+        assert tripped == {1, 2, 3, 4}
 
     def test_fast_engine_rejects_oversized_ids(self):
         from repro.congest.ids import IdAssigner

@@ -326,6 +326,27 @@ class TestCkFreeInstances:
         g = ck_free_graph(24, k, seed=4)
         assert is_ck_free(g, k)
 
+    # Content hashes recorded with the original quadratic (BFS per
+    # vertex) construction: the linear-time one must reproduce every
+    # seeded instance exactly.
+    @pytest.mark.parametrize(
+        "n, seed, k, m, digest",
+        [
+            (2, 1, 5, 1, "4d22d868fb490194cd6255bcc3054d59"
+                         "df901a512f446cb5c033c6a69e9e0805"),
+            (17, 0, 5, 37, "9cadccf1d365f0888e145a0bf536d78a"
+                           "e74a942f2c48df414cc164fc4564abf4"),
+            (301, 7, 3, 891, "02f2d496c6aca3ba3f67ee9af7f3137b"
+                             "02c2a4c66eaf14c912b75159bcc481fa"),
+            (3000, 2, 7, 8990, "0d32426ba4e3803b3ea3f874dddbac9b"
+                               "b96b7bf01fd3697ecdb3a9f0bd36bd2d"),
+        ],
+    )
+    def test_odd_k_seeded_output_is_pinned(self, n, seed, k, m, digest):
+        g = ck_free_graph(n, k, seed=seed)
+        assert g.m == m
+        assert g.content_hash() == digest
+
     @pytest.mark.parametrize("k", [4, 6])
     def test_even_k_high_girth(self, k):
         g = ck_free_graph(30, k, seed=4)
