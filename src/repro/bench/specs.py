@@ -262,59 +262,6 @@ def tester_speedup(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 @benchmark(
     "engines",
-    # Parity is the gate (the rejecting-vertex count is an integer and
-    # must match the baseline exactly); the fast-vs-sharded walls are
-    # floats for the trend record — on few-core runners the pool can be
-    # slower than the single-process fast engine at these sizes.
-    smoke=[{"n": 2000, "p": 0.002, "k": 5, "reps": 2, "shards": 2}],
-    default=[{"n": 20000, "p": 0.0002, "k": 5, "reps": 2, "shards": 4}],
-    full=[{"n": 50000, "p": 0.00008, "k": 5, "reps": 2, "shards": 4}],
-)
-def sharded_parity(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Fast vs sharded engine: full bit-parity, then per-rep walls."""
-    from ..congest.engine import available_engines, create_engine
-    from ..congest.network import Network
-    from ..graphs.generators import erdos_renyi_gnp
-    from ..testing import compare_engines_once
-
-    if "sharded" not in available_engines():
-        # Same convention as tester_speedup: strings never gate.
-        return {"n": case["n"], "skipped": "sharded engine unavailable"}
-    g = erdos_renyi_gnp(case["n"], case["p"], seed=1)
-    spec = f"sharded:{case['shards']}"
-    mismatches = compare_engines_once(
-        g, case["k"], seed % (2**32), engines=("fast", spec)
-    )
-    assert not mismatches, mismatches
-    net = Network(g)
-    times = {}
-    rejecting = {}
-    for name in ("fast", spec):
-        eng = create_engine(name, net)
-        run = None
-        t0 = time.perf_counter()
-        for rep in range(case["reps"]):
-            run = eng.run_tester_repetition(case["k"], rep)
-        times[name] = (time.perf_counter() - t0) / case["reps"]
-        rejecting[name] = sum(1 for o in run.outputs.values() if o.rejects)
-        if hasattr(eng, "close"):
-            eng.close()
-    assert rejecting["fast"] == rejecting[spec], (
-        f"verdict drift: {rejecting}"
-    )
-    return {
-        "n": g.n,
-        "m": g.m,
-        "shards": case["shards"],
-        "rejecting_vertices": rejecting["fast"],
-        "fast_ms_per_rep": times["fast"] * 1e3,
-        "sharded_ms_per_rep": times[spec] * 1e3,
-        "sharded_over_fast": times[spec] / max(times["fast"], 1e-12),
-    }
-
-
-@benchmark(
-    "engines",
     # Cross-repetition batching amortises the per-repetition kernel
     # overhead (rank draws, lexsorts, scatter setup) over chunk=C
     # repetitions; measured ~3x at chunk=8 on this container, so the
@@ -844,41 +791,30 @@ def per_edge_scaling(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 @benchmark(
     "scalability",
-    # The 10^5+ point of the roadmap's scaling curve: one repetition on
-    # G(n, m=2n) per shard count.  The verdict (an integer) gates; the
-    # per-shard-count walls are the scaling record — with >= 2 cores the
-    # multi-shard walls drop below the single-shard one.
-    smoke=[{"n": 100_000, "k": 5, "shard_counts": [1, 2]}],
-    default=[{"n": 250_000, "k": 5, "shard_counts": [1, 2, 4]}],
-    full=[{"n": 1_000_000, "k": 5, "shard_counts": [1, 4, 8]}],
+    # The 10^5+ point of the roadmap's scaling curve: one fast tester
+    # repetition on G(n, m=2n).  The rejecting-vertex count (an integer)
+    # gates exactly; the repetition wall is the scaling record.
+    smoke=[{"n": 100_000, "k": 5}],
+    default=[{"n": 250_000, "k": 5}],
+    full=[{"n": 1_000_000, "k": 5}],
 )
-def sharded_scale(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Sharded tester repetition at 10^5+ nodes, swept over shard counts."""
-    from ..congest.engine import available_engines, create_engine
+def fast_scale(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Fast tester repetition at 10^5+ nodes."""
+    from ..congest.engine import create_engine
     from ..congest.network import Network
     from ..graphs import erdos_renyi_gnm
 
-    if "sharded" not in available_engines():
-        return {"n": case["n"], "skipped": "sharded engine unavailable"}
     g = erdos_renyi_gnm(case["n"], 2 * case["n"], seed=1)
-    net = Network(g)
-    rep_seed = seed % (2**32)
-    rejects = {}
-    metrics: Dict[str, Any] = {"n": g.n, "m": g.m}
-    for shards in case["shard_counts"]:
-        eng = create_engine("sharded", net, shards=shards)
-        t0 = time.perf_counter()
-        run = eng.run_tester_repetition(case["k"], rep_seed)
-        metrics[f"wall_shards{shards}"] = time.perf_counter() - t0
-        rejects[shards] = frozenset(
-            v for v, o in run.outputs.items() if o.rejects
-        )
-        eng.close()
-    assert len(set(rejects.values())) == 1, (
-        "shard count changed the verdict"
-    )
-    metrics["rejecting_vertices"] = len(next(iter(rejects.values())))
-    return metrics
+    eng = create_engine("fast", Network(g))
+    t0 = time.perf_counter()
+    run = eng.run_tester_repetition(case["k"], seed % (2**32))
+    wall = time.perf_counter() - t0
+    return {
+        "n": g.n,
+        "m": g.m,
+        "wall_rep": wall,
+        "rejecting_vertices": sum(1 for o in run.outputs.values() if o.rejects),
+    }
 
 
 # ---------------------------------------------------------------------------

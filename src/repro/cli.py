@@ -46,7 +46,7 @@ _RESERVED_PARAMS = ("k", "eps")
 
 
 def _engine_arg(value: str) -> str:
-    """argparse type for ``--engine``: a name or spec like 'sharded:4'."""
+    """argparse type for ``--engine``: a name or spec like 'fast:chunk=8'."""
     from .errors import ConfigurationError
 
     try:
@@ -57,51 +57,31 @@ def _engine_arg(value: str) -> str:
 
 
 def _resolve_engine(args: argparse.Namespace) -> str:
-    """Combine ``--engine``, ``--shards`` and ``--rep-chunk`` into one
-    engine spec.
+    """Combine ``--engine`` and ``--rep-chunk`` into one engine spec.
 
-    ``--shards N`` is sugar for the ``sharded:N`` spelling and
-    ``--rep-chunk C`` for the ``chunk=C`` option; giving either
+    ``--rep-chunk C`` is sugar for the ``chunk=C`` option; giving it
     alongside an engine that does not accept it (or a spec that already
-    pins the same option) is a configuration error.
+    pins a chunk size) is a configuration error.
     """
     from .errors import ConfigurationError
 
     engine = getattr(args, "engine", "reference")
-    shards = getattr(args, "shards", None)
     rep_chunk = getattr(args, "rep_chunk", None)
-    if shards is None and rep_chunk is None:
+    if rep_chunk is None:
         return engine
     name, opts = parse_engine_spec(engine)
-    extra = []
-    if shards is not None:
-        if name != "sharded":
-            raise ConfigurationError(
-                f"--shards only applies to the sharded engine (got "
-                f"--engine {engine})"
-            )
-        if "shards" in opts:
-            raise ConfigurationError(
-                f"shard count given twice: --engine {engine} and "
-                f"--shards {shards}"
-            )
-        extra.append(str(shards))
-    if rep_chunk is not None:
-        if name == "reference":
-            raise ConfigurationError(
-                f"--rep-chunk only applies to the numpy engines (got "
-                f"--engine {engine})"
-            )
-        if "rep_chunk" in opts:
-            raise ConfigurationError(
-                f"chunk size given twice: --engine {engine} and "
-                f"--rep-chunk {rep_chunk}"
-            )
-        extra.append(f"chunk={rep_chunk}")
-    base, sep, prior = engine.partition(":")
-    joined = ",".join(([prior] if prior else []) + extra)
-    spec = f"{base}:{joined}"
-    parse_engine_spec(spec)  # validates counts >= 1
+    if name == "reference":
+        raise ConfigurationError(
+            f"--rep-chunk only applies to the fast engine (got "
+            f"--engine {engine})"
+        )
+    if "rep_chunk" in opts:
+        raise ConfigurationError(
+            f"chunk size given twice: --engine {engine} and "
+            f"--rep-chunk {rep_chunk}"
+        )
+    spec = f"{engine}:chunk={rep_chunk}"
+    parse_engine_spec(spec)  # validates chunk >= 1
     return spec
 
 
@@ -434,10 +414,12 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
         engine = create_engine(
             _resolve_engine(args), Network(graph), profiler=profiler
         )
-        for rep in range(max(1, args.reps)):
-            engine.run_tester_repetition(
-                args.k, derive_seed(args.seed, "profile", rep)
-            )
+        seeds = [
+            derive_seed(args.seed, "profile", rep)
+            for rep in range(max(1, args.reps))
+        ]
+        for _ in engine.iter_tester_chunk(args.k, seeds):
+            pass
         doc = validate_profile(profiler.report(engine=engine.name))
         if args.out:
             profiler.write(args.out, engine=engine.name)
@@ -582,7 +564,7 @@ _PRESETS: Dict[str, Callable[[int], CampaignSpec]] = {
         ks=[4, 5],
         epsilons=[0.15],
         algorithms=["tester", "detect"],
-        engines=["reference", "fast", "sharded:2"],
+        engines=["reference", "fast"],
         repetitions=3,
         seed=seed,
     ),
@@ -759,8 +741,8 @@ def _add_campaign_factor_args(p: argparse.ArgumentParser) -> None:
                    help=f"variants from: {', '.join(ALGORITHM_NAMES)}")
     p.add_argument("--engines", type=_csv(str), metavar="E1,E2,...",
                    help=f"scheduler backends to cross: "
-                   f"{', '.join(ENGINE_NAMES)} (sharded accepts a "
-                   "shard count, e.g. sharded:4)")
+                   f"{', '.join(ENGINE_NAMES)} (fast accepts a chunk "
+                   "size, e.g. fast:chunk=8)")
     p.add_argument("--streams", type=_optional_name, nargs="+",
                    metavar="SPEC",
                    help="stream scenarios to cross (temporal campaign), "
@@ -806,14 +788,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--engine", default="reference", type=_engine_arg,
                        metavar="ENGINE",
                        help=f"scheduler backend: {', '.join(ENGINE_NAMES)} "
-                       "(identical verdicts); sharded accepts a shard "
-                       "count, e.g. sharded:4")
-        p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="shard count for --engine sharded "
-                       "(same as --engine sharded:N)")
+                       "(identical verdicts); fast accepts a chunk size, "
+                       "e.g. fast:chunk=8")
         p.add_argument("--rep-chunk", type=int, default=None, metavar="C",
                        help="tester repetitions per batched kernel pass "
-                       "for the numpy engines (same as chunk=C in the "
+                       "for the fast engine (same as chunk=C in the "
                        "engine spec)")
         p.add_argument("--faults", type=_optional_name, default=None,
                        metavar="SPEC",
@@ -880,8 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn_replay.add_argument("--seed", type=int, default=0)
     p_dyn_replay.add_argument("--engine", default="reference",
                               type=_engine_arg, metavar="ENGINE")
-    p_dyn_replay.add_argument("--shards", type=int, default=None,
-                              metavar="N")
     p_dyn_replay.add_argument("--rep-chunk", type=int, default=None,
                               metavar="C")
     p_dyn_replay.add_argument("--faults", type=_optional_name, default=None,
@@ -987,8 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_profile.add_argument("--engine", default="fast", type=_engine_arg,
                                metavar="ENGINE",
                                help="engine to profile when generating")
-    p_obs_profile.add_argument("--shards", type=int, default=None,
-                               metavar="N")
     p_obs_profile.add_argument("--rep-chunk", type=int, default=None,
                                metavar="C")
     p_obs_profile.add_argument("--family", default="gnp",
@@ -1018,11 +993,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--engine", default="reference",
                          type=_engine_arg, metavar="ENGINE",
                          help="default detection engine for new sessions "
-                         "(name or spec, e.g. sharded:4)")
-    p_serve.add_argument("--shards", type=int, default=None, metavar="N",
-                         help="shard count for --engine sharded")
+                         "(name or spec, e.g. fast:chunk=8)")
     p_serve.add_argument("--rep-chunk", type=int, default=None, metavar="C",
-                         help="repetition chunk size for the numpy engines")
+                         help="repetition chunk size for the fast engine")
     p_serve.add_argument("--debug", action="store_true",
                          help="enable the /debug endpoints (tests only)")
     add_telemetry_arg(p_serve)
@@ -1042,7 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lg.add_argument("--k", type=int, default=5)
     p_lg.add_argument("--engine", default="reference", type=_engine_arg,
                       metavar="ENGINE")
-    p_lg.add_argument("--shards", type=int, default=None, metavar="N")
     p_lg.add_argument("--rep-chunk", type=int, default=None, metavar="C")
     p_lg.add_argument("--seed", type=int, default=0)
     p_lg.add_argument("--batch", type=int, default=1,

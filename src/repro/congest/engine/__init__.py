@@ -8,10 +8,6 @@ One protocol, interchangeable backends (see
 * ``fast`` — batched numpy execution over CSR adjacency arrays with an
   aggregate (per-sender) bit audit.  Requires numpy
   (``pip install repro-cycles[fast]``) and node IDs below ``2**32``.
-* ``sharded`` — the fast engine's kernels partitioned into contiguous
-  node-range shards over ``multiprocessing.shared_memory``, optionally
-  driven by a persistent ``fork`` worker pool, for 10^5–10^6-node
-  graphs.  Requires numpy and ``multiprocessing.shared_memory``.
 
 Select a backend by name::
 
@@ -23,12 +19,10 @@ Select a backend by name::
 or end to end through ``CkFreenessTester(..., engine="fast")``,
 ``detect_cycle_through_edge(..., engine="fast")``, the CLI's
 ``--engine`` flag, and the campaign runner's ``engines`` factor.  The
-sharded backend additionally accepts a shard count, spelled
-``"sharded:4"`` in any engine-name position (or ``--shards 4`` on the
-CLI), and both numpy backends accept a repetition chunk size for the
-batched tester kernels, spelled ``"fast:chunk=8"`` /
-``"sharded:4,chunk=8"`` (or ``--rep-chunk 8``);
-:func:`parse_engine_spec` is the one parser for that syntax.
+fast backend additionally accepts a repetition chunk size for its
+batched tester kernel, spelled ``"fast:chunk=8"`` in any engine-name
+position (or ``--rep-chunk 8`` on the CLI); :func:`parse_engine_spec`
+is the one parser for that syntax.
 
 All backends are verdict-equivalent under fixed seeds; see
 ``docs/engines.md`` and :func:`repro.testing.engine_equivalence_report`.
@@ -62,7 +56,7 @@ __all__ = [
 ]
 
 #: All backend names, in preference order for documentation/CLI listings.
-ENGINE_NAMES: Tuple[str, ...] = ("reference", "fast", "sharded")
+ENGINE_NAMES: Tuple[str, ...] = ("reference", "fast")
 
 
 def _numpy_missing() -> str:
@@ -74,34 +68,19 @@ def _numpy_missing() -> str:
     return ""
 
 
-def _shared_memory_missing() -> str:
-    """Import-check ``multiprocessing.shared_memory``; '' or the reason."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError as exc:  # pragma: no cover - stdlib since 3.8
-        return str(exc)
-    return ""
-
-
 def parse_engine_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
     """Split an engine spec string into ``(name, constructor_kwargs)``.
 
-    Plain names (``"reference"``, ``"fast"``, ``"sharded"``) pass
-    through with no options.  After a ``:`` come comma-separated
-    options:
-
-    * a bare integer is a shard count (sharded only) —
-      ``"sharded:4"`` → ``("sharded", {"shards": 4})``;
-    * ``chunk=C`` is the repetition chunk size of the batched tester
-      kernels (fast and sharded) — ``"fast:chunk=8"`` →
-      ``("fast", {"rep_chunk": 8})``, ``"sharded:4,chunk=8"`` →
-      ``("sharded", {"shards": 4, "rep_chunk": 8})``.
+    The grammar is ``reference`` | ``fast[:chunk=C]``: plain names pass
+    through with no options, and ``chunk=C`` is the repetition chunk
+    size of the fast engine's batched tester kernel — ``"fast:chunk=8"``
+    → ``("fast", {"rep_chunk": 8})``.
 
     These spellings are accepted anywhere an engine name is (the CLI's
     ``--engine``, the campaign ``engines`` factor, service session
     specs).  Raises :class:`~repro.errors.ConfigurationError` for
-    unknown names, options on engines that take none, repeated options,
-    and non-positive or non-integer counts.
+    unknown names, options on ``reference``, unknown or repeated
+    options, and non-positive or non-integer chunk sizes.
     """
     name, sep, opts = str(spec).partition(":")
     if name not in ENGINE_NAMES:
@@ -113,52 +92,28 @@ def parse_engine_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
     if name == "reference":
         raise ConfigurationError(
             f"engine 'reference' takes no options (got {spec!r}); "
-            "'fast'/'sharded' accept chunk=C, and 'sharded' a shard "
-            "count, e.g. 'sharded:4,chunk=8'"
+            "'fast' accepts chunk=C, e.g. 'fast:chunk=8'"
         )
     kwargs: Dict[str, Any] = {}
     for item in opts.split(","):
         key, eq, value = item.partition("=")
-        if not eq:
-            if name != "sharded":
-                raise ConfigurationError(
-                    f"engine {name!r} takes no shard count (got {spec!r}); "
-                    "only 'sharded' accepts one, e.g. 'sharded:4'"
-                )
-            if "shards" in kwargs:
-                raise ConfigurationError(
-                    f"shard count given twice in engine spec {spec!r}"
-                )
-            try:
-                shards = int(item)
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad option {item!r} in engine spec {spec!r}; expected "
-                    "a shard count or chunk=C, e.g. 'sharded:4,chunk=8'"
-                ) from None
-            if shards < 1:
-                raise ConfigurationError(f"shards must be >= 1, got {shards}")
-            kwargs["shards"] = shards
-        elif key == "chunk":
-            if "rep_chunk" in kwargs:
-                raise ConfigurationError(
-                    f"chunk given twice in engine spec {spec!r}"
-                )
-            try:
-                chunk = int(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad chunk size in engine spec {spec!r}; expected an "
-                    "integer, e.g. 'fast:chunk=8'"
-                ) from None
-            if chunk < 1:
-                raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
-            kwargs["rep_chunk"] = chunk
-        else:
+        if key != "chunk" or not eq:
             raise ConfigurationError(
-                f"unknown option {key!r} in engine spec {spec!r}; "
-                "supported: a shard count (sharded) and chunk=C"
+                f"unknown option {item!r} in engine spec {spec!r}; "
+                "supported: chunk=C, e.g. 'fast:chunk=8'"
             )
+        if "rep_chunk" in kwargs:
+            raise ConfigurationError(f"chunk given twice in engine spec {spec!r}")
+        try:
+            chunk = int(value)
+        except ValueError:
+            raise ConfigurationError(
+                f"bad chunk size in engine spec {spec!r}; expected an "
+                "integer, e.g. 'fast:chunk=8'"
+            ) from None
+        if chunk < 1:
+            raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
+        kwargs["rep_chunk"] = chunk
     return name, kwargs
 
 
@@ -171,21 +126,13 @@ def ensure_engine_available(spec: str) -> None:
     dependencies are missing (e.g. ``fast`` without numpy).
     """
     name, _ = parse_engine_spec(spec)
-    if name in ("fast", "sharded"):
+    if name == "fast":
         reason = _numpy_missing()
         if reason:
             raise EngineUnavailableError(
                 f"the {name!r} engine requires numpy, which is not installed "
                 f"({reason}); install it with `pip install repro-cycles[fast]` "
                 "or run with --engine reference"
-            )
-    if name == "sharded":
-        reason = _shared_memory_missing()
-        if reason:
-            raise EngineUnavailableError(
-                "the 'sharded' engine requires multiprocessing.shared_memory "
-                f"(Python >= 3.8), which is unavailable here ({reason}); "
-                "run with --engine fast or --engine reference"
             )
 
 
@@ -210,8 +157,7 @@ def create_engine(spec: str, network: Network, **kwargs) -> CongestEngine:
     constructor (``size_model``, ``strict_bandwidth``, ``faults`` — the
     last only honoured by the reference backend — ``telemetry`` and
     ``profiler`` (a :class:`PhaseProfiler` attributing wall time to
-    protocol phases), plus ``rep_chunk`` for the numpy backends and
-    ``shards`` / ``use_pool`` for the sharded backend).
+    protocol phases), plus ``rep_chunk`` for the fast backend).
     """
     ensure_engine_available(spec)
     name, opts = parse_engine_spec(spec)
@@ -226,10 +172,6 @@ def create_engine(spec: str, network: Network, **kwargs) -> CongestEngine:
         from .reference import ReferenceEngine
 
         return ReferenceEngine(network, **kwargs)
-    if name == "sharded":
-        from .sharded import ShardedEngine
-
-        return ShardedEngine(network, **kwargs)
     from .fast import FastEngine
 
     return FastEngine(network, **kwargs)

@@ -8,7 +8,7 @@ and one full repetition of the multiplexed tester
 :class:`~repro.core.algorithm1.DetectionOutcome` outputs plus a
 bit-audited :class:`~repro.congest.instrumentation.ExecutionTrace`.
 
-Three backends ship with the reproduction:
+Two backends ship with the reproduction:
 
 ``reference``
     The per-node message-passing simulation
@@ -22,13 +22,6 @@ Three backends ship with the reproduction:
     Batched numpy execution over CSR adjacency arrays
     (:mod:`repro.congest.engine.fast`): same verdicts, same round
     counts, same per-round aggregate audit, at array speed.
-
-``sharded``
-    The fast engine's kernels partitioned into contiguous node-range
-    shards over ``multiprocessing.shared_memory``
-    (:mod:`repro.congest.engine.sharded`), optionally driven by a
-    persistent ``fork`` worker pool — the 10^5–10^6-node scaling
-    backend.
 
 Engines are constructed per network (so backends can compile/cach
 topology) and are required to produce **bit-identical verdicts** for
@@ -128,9 +121,8 @@ class CongestEngine(ABC):
     def compiled_nbytes(self) -> int:
         """Bytes held by compiled per-network state (cache accounting).
 
-        Zero for backends that compile nothing; the numpy backends
-        report their CSR/half-edge arrays (plus shared memory for the
-        sharded engine).
+        Zero for backends that compile nothing; the fast backend
+        reports its CSR/half-edge arrays.
         """
         return 0
 

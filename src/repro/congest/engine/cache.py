@@ -2,11 +2,10 @@
 
 Every :func:`~repro.congest.engine.create_engine` call re-compiles the
 network into the backend's execution form (CSR adjacency, half-edge
-tables, shared-memory segments for the sharded backend).  Compilation is
-pure — it depends only on the graph's content, the engine spec and the
-bandwidth mode — so repeated detect/tester calls against the *same*
-graph version can reuse one compiled instance.  :class:`EngineCache` is
-that reuse point: a small LRU keyed by
+tables).  Compilation is pure — it depends only on the graph's content,
+the engine spec and the bandwidth mode — so repeated detect/tester calls
+against the *same* graph version can reuse one compiled instance.
+:class:`EngineCache` is that reuse point: a small LRU keyed by
 ``(spec, strict_bandwidth, graph.content_hash())``.
 
 Three properties keep cached execution bit-identical to uncached:
@@ -38,7 +37,6 @@ the cache whenever ``faults is not None``.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Optional, Tuple
 
@@ -60,9 +58,7 @@ class EngineCache:
     ----------
     max_entries:
         Maximum resident entries (compiled engines plus memoised CSR
-        exports).  The least recently used entry is evicted first;
-        evicted engines exposing ``close()`` (the sharded backend's
-        shared-memory teardown) are closed.
+        exports).  The least recently used entry is evicted first.
     """
 
     def __init__(self, max_entries: int = 8) -> None:
@@ -73,23 +69,9 @@ class EngineCache:
             )
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, object]" = OrderedDict()
-        self._pid = os.getpid()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def _check_fork(self) -> None:
-        """Drop entries inherited across a ``fork`` boundary.
-
-        A forked child (campaign pool worker) inherits the parent's
-        cache by memory image.  Inherited engines are unusable there —
-        a sharded engine's pipes and shard processes belong to the
-        parent — so the child starts empty.  Entries are dropped, not
-        closed: their resources are the parent's to release.
-        """
-        if os.getpid() != self._pid:
-            self._entries.clear()
-            self._pid = os.getpid()
 
     # ------------------------------------------------------------------
     def get(
@@ -112,7 +94,6 @@ class EngineCache:
         from ...obs import resolve_telemetry
         from .profiler import NULL_PROFILER
 
-        self._check_fork()
         parse_engine_spec(spec)  # surface bad specs before hashing
         key = ("engine", str(spec), bool(strict_bandwidth), graph.content_hash())
         eng = self._entries.get(key)
@@ -143,7 +124,6 @@ class EngineCache:
         version tokens) may pass it as ``key`` to skip the hash; the
         caller then owns the correctness of that keying.
         """
-        self._check_fork()
         key = ("csr", graph.content_hash() if key is None else key)
         arrays = self._entries.get(key)
         if arrays is not None:
@@ -157,11 +137,8 @@ class EngineCache:
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
-        """Evict every entry (closing engines that support it)."""
-        self._check_fork()
-        while self._entries:
-            _, entry = self._entries.popitem(last=False)
-            self._close(entry)
+        """Evict every entry."""
+        self._entries.clear()
         self._publish_bytes()
 
     @property
@@ -186,8 +163,7 @@ class EngineCache:
     def _insert(self, key: tuple, entry: object) -> None:
         self._entries[key] = entry
         while len(self._entries) > self.max_entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._close(evicted)
+            self._entries.popitem(last=False)
             self.evictions += 1
             self._record_eviction()
 
@@ -197,12 +173,6 @@ class EngineCache:
             return entry.compiled_nbytes
         indptr, indices = entry  # type: ignore[misc]
         return int(indptr.nbytes + indices.nbytes)
-
-    @staticmethod
-    def _close(entry: object) -> None:
-        close = getattr(entry, "close", None)
-        if callable(close):
-            close()
 
     # ------------------------------------------------------------------
     # Cache metrics: process-global registry only (see module docstring).

@@ -88,8 +88,7 @@ def draw_owned_ranks(
     Owner ``i`` (CONGEST ID ``owner_ids[i]``) draws ``counts[i]`` ranks
     in ``[1, hi]``, stored from slot ``offsets[i]`` on.  Each
     ``(repetition, owner)`` pair is an independent stream, so stacking
-    repetitions — or drawing any subset of owners, as a shard does —
-    preserves every stream's draw order exactly.  Returns
+    repetitions preserves every stream's draw order exactly.  Returns
     ``(len(rep_seeds), counts.sum())``.
     """
     C = len(rep_seeds)
@@ -170,19 +169,17 @@ def priority_mux(
     he_dst: np.ndarray,
     starts: np.ndarray,
     rows: np.ndarray,
-    lo: int,
-    hi: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The §3.1 priority rule for receivers ``[lo, hi)``, vectorized.
+    """The §3.1 priority rule for every receiver, vectorized.
 
     ``R``/``E``/``sending`` are ``(C, n)`` stacks of every node's
-    current tag and send flag; ``he_src``/``he_dst`` are the receivers'
-    half-edges in CSR order, and ``starts``/``rows`` their non-empty
-    segments as :func:`segmented_min` takes them (rows relative to
-    ``lo``).  Returns the winning tags ``(C, hi - lo)`` — each
-    receiver's lexicographic minimum of its own tag and its sending
-    neighbours' — and a ``(C, half_edges)`` mask of the messages that
-    survive the rule (sender's tag equals the receiver's winner).
+    current tag and send flag; ``he_src``/``he_dst`` are the half-edges
+    in CSR order, and ``starts``/``rows`` their non-empty segments as
+    :func:`segmented_min` takes them.  Returns the winning tags
+    ``(C, n)`` — each node's lexicographic minimum of its own tag and
+    its sending neighbours' — and a ``(C, half_edges)`` mask of the
+    messages that survive the rule (sender's tag equals the receiver's
+    winner).
     """
     send_mask = sending[:, he_dst]
     nb_r = R[:, he_dst]
@@ -192,11 +189,10 @@ def priority_mux(
         np.where(send_mask, nb_e, _INF),
         starts,
         rows,
-        R[:, lo:hi],
-        E[:, lo:hi],
+        R,
+        E,
     )
-    local = he_src - lo
-    matches = send_mask & (nb_r == best_r[:, local]) & (nb_e == best_e[:, local])
+    matches = send_mask & (nb_r == best_r[:, he_src]) & (nb_e == best_e[:, he_src])
     return best_r, best_e, matches
 
 
@@ -497,7 +493,7 @@ class FastEngine(CongestEngine):
         for t in range(2, k // 2 + 1):
             with prof.phase("priority_mux"):
                 R, E, match_mask = priority_mux(
-                    R, E, sending, he_src, he_dst, starts, rows, 0, n
+                    R, E, sending, he_src, he_dst, starts, rows
                 )
             new_sending = np.zeros((C, n), dtype=bool)
             per_seq = self._seq_bits(t)
@@ -547,7 +543,7 @@ class FastEngine(CongestEngine):
         # and the tags they were sent under.
         with prof.phase("priority_mux"):
             bestR, bestE, match_mask = priority_mux(
-                R, E, sending, he_src, he_dst, starts, rows, 0, n
+                R, E, sending, he_src, he_dst, starts, rows
             )
         # Nodes whose winning tag moved off the one they last sent under.
         switched = (R != bestR) | (E != bestE)

@@ -2,10 +2,7 @@
 
 ``/metrics`` can say a run was slow; the profiler says *where*: Phase-1
 rank draws vs. the priority mux vs. the per-round apply vs. the audit
-fold — and, for the sharded backend, per-shard compute vs. halo routing
-vs. the parent-side fold (shard wall times already travel back through
-the worker Pipe protocol, so the parent folds them in without any new
-IPC).
+fold.
 
 The default is :data:`NULL_PROFILER`, whose :meth:`~NullProfiler.phase`
 returns one shared no-op context manager — entering it allocates
@@ -104,8 +101,7 @@ class PhaseProfiler:
     """Accumulates wall seconds and call counts per named phase.
 
     Phases are timed with ``with profiler.phase("round_apply"):`` or
-    folded in externally via :meth:`add` (how the sharded parent
-    attributes the wall times its workers ship back over the Pipe).
+    folded in externally via :meth:`add`.
     Phase order is first-use order, which :meth:`report` preserves.
     """
 

@@ -278,8 +278,7 @@ def detect_cycle_through_edge(
     network:
         Optionally a prebuilt :class:`Network` (to control ID assignment).
     engine:
-        Scheduler backend (``"reference"``, ``"fast"`` or a sharded
-        spec such as ``"sharded:4"``); see
+        Scheduler backend (``"reference"`` or ``"fast"``); see
         :mod:`repro.congest.engine`.
     faults:
         Optional :class:`~repro.congest.faults.FaultModel` (reference

@@ -52,11 +52,10 @@ class CkFreenessTester:
         Forward to the engine: raise if any message exceeds the
         CONGEST bit budget.
     engine:
-        Scheduler backend: ``"reference"`` (per-node simulation),
-        ``"fast"`` (batched numpy) or ``"sharded"`` (multi-process
-        shared memory; accepts a shard count, e.g. ``"sharded:4"``);
-        see :mod:`repro.congest.engine`.  All produce identical
-        verdicts under a fixed seed.
+        Scheduler backend: ``"reference"`` (per-node simulation) or
+        ``"fast"`` (batched numpy; accepts a chunk size, e.g.
+        ``"fast:chunk=8"``); see :mod:`repro.congest.engine`.  Both
+        produce identical verdicts under a fixed seed.
     faults:
         Optional :class:`~repro.congest.faults.FaultModel`: run every
         repetition over unreliable links (reference engine only).

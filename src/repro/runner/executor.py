@@ -15,10 +15,6 @@ Scheduling policy (wall clock only, never results):
   :func:`run_campaign`/:func:`ordered_parallel_map` call, keyed by
   worker count, so repeated invocations (campaign resume, suite reruns,
   benchmark repeats) skip interpreter spawn and import costs.
-* **Slot-weighted co-scheduling** — a row running a ``sharded:P``
-  engine forks ``P`` of its own kernel workers, so the campaign counts
-  it as ``P`` slots and keeps the total slots in flight within the
-  worker budget instead of oversubscribing the machine.
 
 Wall-clock throughput is reported separately in the returned
 :class:`ExecutionReport` (and measured by ``benchmarks/bench_campaign.py``).
@@ -28,10 +24,9 @@ from __future__ import annotations
 
 import atexit
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..baselines.gather import gather_detect_cycle_through_edge
 from ..baselines.naive import naive_detect_cycle_through_edge
@@ -47,7 +42,6 @@ __all__ = [
     "ExecutionReport",
     "execute_row",
     "ordered_parallel_map",
-    "row_slots",
     "run_campaign",
     "shutdown_persistent_pools",
 ]
@@ -91,7 +85,6 @@ def ordered_parallel_map(
     *,
     workers: int = 1,
     chunksize: int = 1,
-    weights: Optional[Sequence[int]] = None,
 ) -> Iterator[Any]:
     """Yield ``fn(item)`` for each item, serially or across a process pool.
 
@@ -99,49 +92,16 @@ def ordered_parallel_map(
     both the campaign runner (for byte-identical JSONL) and the benchmark
     runner (for order-stable artifacts) depend on.  ``fn`` and every item
     must be picklable when ``workers > 1``.
-
-    ``weights`` opts into slot-weighted co-scheduling: ``weights[i]``
-    slots (of ``workers`` total) are held while ``items[i]`` is in
-    flight, so items that fork their own worker processes (sharded-engine
-    rows) do not oversubscribe the machine.  Weights are clamped to
-    ``[1, workers]``; scheduling alters wall clock only, never the
-    result stream.  ``weights`` requires ``chunksize == 1`` (a chunk has
-    no single weight).
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if chunksize < 1:
         raise ConfigurationError(f"chunksize must be >= 1, got {chunksize}")
-    if weights is not None:
-        if chunksize != 1:
-            raise ConfigurationError(
-                "weighted scheduling requires chunksize == 1"
-            )
-        if len(weights) != len(items):
-            raise ConfigurationError(
-                f"got {len(weights)} weights for {len(items)} items"
-            )
     if workers == 1:
         for item in items:
             yield fn(item)
         return
-    pool = _persistent_pool(workers)
-    if weights is None:
-        yield from pool.map(fn, items, chunksize=chunksize)
-        return
-    in_flight: "deque[tuple]" = deque()
-    held = 0
-    for item, weight in zip(items, weights):
-        weight = max(1, min(int(weight), workers))
-        while in_flight and held + weight > workers:
-            future, slots = in_flight.popleft()
-            yield future.result()
-            held -= slots
-        in_flight.append((pool.submit(fn, item), weight))
-        held += weight
-    while in_flight:
-        future, _ = in_flight.popleft()
-        yield future.result()
+    yield from _persistent_pool(workers).map(fn, items, chunksize=chunksize)
 
 
 def _probe_edge(graph: Graph) -> tuple:
@@ -157,11 +117,6 @@ def _run_tester(
     graph: Graph, k: int, eps: float, seed: int, engine: str, faults=None,
     telemetry=None,
 ) -> Dict[str, Any]:
-    # No cross-row engine cache here, deliberately: engine construction
-    # records into the compiling row's private telemetry (shard worker
-    # gauges, pool spawns), so reuse across rows would make a row's
-    # summary depend on which rows ran before it in the same process —
-    # breaking the serial == parallel byte-identity of campaign JSONL.
     result = CkFreenessTester(
         k, eps, engine=engine, faults=faults, telemetry=telemetry
     ).run(graph, seed=seed)
@@ -333,40 +288,6 @@ class ExecutionReport:
         )
 
 
-def row_slots(row: RunRow) -> int:
-    """Worker slots one row occupies under weighted co-scheduling.
-
-    A ``sharded:P`` row forks ``P`` kernel workers of its own, so it
-    counts as ``P`` slots against the campaign's worker budget; every
-    other row (including unparseable engine specs, which fail inside
-    :func:`execute_row` as an error record) counts as one.
-    """
-    from ..congest.engine import parse_engine_spec
-    from ..congest.engine.sharded import default_shard_count
-
-    try:
-        name, opts = parse_engine_spec(row.engine)
-    except ReproError:
-        return 1
-    if name != "sharded":
-        return 1
-    return max(1, int(opts.get("shards", default_shard_count())))
-
-
-def _result_stream(
-    pending: List[RunRow], workers: int, chunksize: int
-) -> Iterator[Dict[str, Any]]:
-    # Ordered map keeps the JSONL stream identical to the serial one;
-    # sharded rows hold as many slots as they fork kernel workers.
-    weights = None
-    if workers > 1 and chunksize == 1:
-        weights = [row_slots(row) for row in pending]
-    yield from ordered_parallel_map(
-        execute_row, pending, workers=workers, chunksize=chunksize,
-        weights=weights,
-    )
-
-
 def run_campaign(
     table: RunTable,
     store: CampaignStore,
@@ -392,7 +313,10 @@ def run_campaign(
     executed_ids: List[str] = []
     if pending:
         with store.writer() as write:
-            for record in _result_stream(pending, workers, chunksize):
+            # Ordered map keeps the JSONL stream identical to the serial one.
+            for record in ordered_parallel_map(
+                execute_row, pending, workers=workers, chunksize=chunksize
+            ):
                 write(record)
                 executed_ids.append(record["run_id"])
                 if record.get("status") == "error":

@@ -231,8 +231,8 @@ class CampaignSpec:
         if not isinstance(self.engines, (list, tuple)) or not self.engines:
             raise ConfigurationError("campaign engines must be a non-empty list")
         for eng in self.engines:
-            # Accepts spec strings too ("sharded:4"); raises a clear
-            # ConfigurationError for unknown names or bad shard counts.
+            # Accepts spec strings too ("fast:chunk=8"); raises a clear
+            # ConfigurationError for unknown names or bad chunk sizes.
             parse_engine_spec(eng)
         for attr in ("streams", "faults"):
             value = getattr(self, attr)

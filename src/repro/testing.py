@@ -244,7 +244,7 @@ def compare_engines_once(
     """Run every engine on one input and list every observable difference.
 
     The first engine is the baseline; each of the others is compared
-    against it (engines may be spec strings such as ``"sharded:4"``).
+    against it (engines may be spec strings such as ``"fast:chunk=4"``).
     Compared per run: the rejecting-vertex set, each rejector's cycle
     evidence, the round count, and the per-round audit aggregates
     (message count, total/max bits, the edge carrying the first maximum,

@@ -10,12 +10,6 @@ grid must produce the same verdict, the same per-repetition reports and
 evidence, the same trace aggregates, and the same protocol-level
 telemetry counters.  This module pins that contract down to byte
 equality of the full result fingerprint.
-
-One deliberate carve-out: ``repro_shard_*`` metrics are the sharded
-backend's *dispatch* diagnostics — a chunked run sends one command per
-chunk where a serial run sends one per repetition, so dispatch counts
-legitimately differ.  Everything protocol-determined
-(``repro_congest_*``, ``repro_tester_*``) must still match exactly.
 """
 
 import pytest
@@ -30,7 +24,7 @@ EPS = 0.1
 REPS = 6
 SEED = 1234
 
-FAMILIES = ("reference", "fast", "sharded")
+FAMILIES = ("reference", "fast")
 CHUNKS = (1, 3, REPS)
 
 
@@ -49,9 +43,7 @@ def _specs(family):
     """
     if family == "reference":
         return ("reference",)
-    if family == "fast":
-        return tuple(f"fast:chunk={c}" for c in CHUNKS)
-    return tuple(f"sharded:2,chunk={c}" for c in CHUNKS)
+    return tuple(f"fast:chunk={c}" for c in CHUNKS)
 
 
 def _run(spec, graph, cache):
@@ -89,15 +81,12 @@ def _normalise(summary, spec, family):
 
     Tester counters are labelled with the full spec string
     (``engine=fast:chunk=3``) and trace exports with the backend name
-    (``engine=fast``); both are presentation, not protocol.  Shard
-    dispatch internals are dropped (see module docstring).
+    (``engine=fast``); both are presentation, not protocol.
     """
-    out = {}
-    for key, value in summary.items():
-        if key.startswith("repro_shard_"):
-            continue
-        out[key.replace(spec, "<engine>").replace(family, "<engine>")] = value
-    return out
+    return {
+        key.replace(spec, "<engine>").replace(family, "<engine>"): value
+        for key, value in summary.items()
+    }
 
 
 @pytest.mark.parametrize("name", ["far", "free"])
@@ -133,14 +122,9 @@ def test_grid_bit_identity(name):
     assert cache.hits == 0
 
 
-@pytest.mark.parametrize("family", ["fast", "sharded"])
+@pytest.mark.parametrize("family", ["fast"])
 def test_warm_cache_hits_are_identical(family):
-    """A second cached run is served from cache and still bit-identical.
-
-    Compile-time diagnostics (shard count, pool spawns) land in the
-    registry of the run that compiled the engine — another reason the
-    ``repro_shard_*`` family sits outside the identity contract.
-    """
+    """A second cached run is served from cache and still bit-identical."""
     graph = _graph("far")
     cache = EngineCache()
     spec = _specs(family)[1]  # chunk=3

@@ -11,6 +11,7 @@ Layers covered here:
 * tester-level equality of full :class:`TesterResult` objects;
 * the campaign runner's ``engines`` factor (same seeds, same outcomes,
   resumable stores, backward-compatible run ids);
+* engine-spec validation at the spec/``create_engine`` and CLI layers;
 * CLI ``--engine`` selection and the clean no-numpy error path.
 """
 
@@ -36,7 +37,7 @@ from repro.errors import (
     ConfigurationError,
     EngineUnavailableError,
 )
-from repro.graphs.generators import erdos_renyi_gnp, star_graph
+from repro.graphs.generators import cycle_graph, erdos_renyi_gnp, star_graph
 from repro.runner import CampaignSpec, CampaignStore, run_campaign
 from repro.runner import registry
 from repro.testing import (
@@ -130,11 +131,9 @@ class TestFastRngExactness:
 
 class TestEngineRegistry:
     def test_names_and_availability(self):
-        assert ENGINE_NAMES == ("reference", "fast", "sharded")
-        # numpy is installed in the test environment: all must be usable
-        # (sharded additionally needs multiprocessing.shared_memory,
-        # present on every supported CPython).
-        assert available_engines() == ("reference", "fast", "sharded")
+        assert ENGINE_NAMES == ("reference", "fast")
+        # numpy is installed in the test environment: both must be usable.
+        assert available_engines() == ("reference", "fast")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -152,6 +151,64 @@ class TestEngineRegistry:
             engine_mod.ensure_engine_available("fast")
         # The reference engine is unaffected.
         engine_mod.ensure_engine_available("reference")
+
+    @pytest.mark.parametrize(
+        "spec, kwargs, match",
+        [
+            pytest.param("warp:chunk=2", {}, "unknown engine", id="unknown"),
+            pytest.param(
+                "reference:chunk=2", {}, "takes no options", id="reference-opt"
+            ),
+            pytest.param("fast:chunk=x", {}, "bad chunk size", id="chunk-x"),
+            pytest.param("fast:chunk=0", {}, "chunk must be >= 1", id="chunk-0"),
+            pytest.param(
+                "fast:chunk=2,chunk=3", {}, "chunk given twice", id="chunk-twice"
+            ),
+            pytest.param("fast:4", {}, "unknown option", id="bare-count"),
+            pytest.param("fast:", {}, "unknown option", id="empty-opt"),
+            pytest.param("fast:warp=1", {}, "unknown option", id="unknown-opt"),
+            pytest.param(
+                "fast:chunk=2", {"rep_chunk": 3}, "given both", id="spec-and-kwarg"
+            ),
+        ],
+    )
+    def test_bad_spec_rejected(self, spec, kwargs, match):
+        net = Network(cycle_graph(6))
+        with pytest.raises(ConfigurationError, match=match):
+            create_engine(spec, net, **kwargs)
+
+    @pytest.mark.parametrize(
+        "engine_args, match",
+        [
+            # An unknown engine fails argument parsing (a usage error).
+            pytest.param(["--engine", "bogus"], None, id="unknown-engine"),
+            pytest.param(
+                ["--engine", "reference", "--rep-chunk", "2"],
+                "only applies to the fast engine",
+                id="reference-rep-chunk",
+            ),
+            pytest.param(
+                ["--engine", "fast:chunk=2", "--rep-chunk", "3"],
+                "given twice",
+                id="chunk-twice",
+            ),
+            pytest.param(
+                ["--engine", "fast", "--rep-chunk", "0"],
+                "chunk must be >= 1",
+                id="rep-chunk-0",
+            ),
+        ],
+    )
+    def test_bad_engine_flags_through_cli(self, engine_args, match):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["test", "--generator", "cycle", "--n", "8", "--k", "4",
+                      *engine_args])
+        if match is None:
+            assert exc.value.code == 2
+        else:
+            message = str(exc.value.code)
+            assert message.startswith("error:") and "\n" not in message
+            assert match in message
 
 
 class TestCrossEngineEquivalence:
@@ -292,11 +349,7 @@ class TestCrossEngineEquivalence:
 
         def repetition(spec, net):
             eng = create_engine(spec, net, strict_bandwidth=True)
-            try:
-                return raised(lambda: eng.run_tester_repetition(k, 0))
-            finally:
-                if hasattr(eng, "close"):
-                    eng.close()
+            return raised(lambda: eng.run_tester_repetition(k, 0))
 
         def tester(spec):
             t = CkFreenessTester(
@@ -316,7 +369,6 @@ class TestCrossEngineEquivalence:
             net = Network(g)
             expected = repetition("reference", net)
             assert repetition("fast", net) == expected, factor
-            assert repetition("sharded:2", net) == expected, factor
             assert tester("fast:chunk=4") == tester("reference"), factor
             if expected is not None:
                 tripped.add(expected[0])

@@ -261,7 +261,7 @@ class TestPhaseProfiler:
         profiler = PhaseProfiler()
         profiler.add("fold", 0.25)
         path = tmp_path / "PROFILE.json"
-        doc = profiler.write(path, engine="sharded:2")
+        doc = profiler.write(path, engine="fast:chunk=2")
         on_disk = json.loads(path.read_text())
         assert on_disk == doc
         assert validate_profile(on_disk) is on_disk
@@ -376,6 +376,17 @@ class TestCliTraceAndProfile:
         printed = capsys.readouterr().out
         assert rc == 0
         assert "scheduler_run" in printed
+        # The chunk size reaches the profiled run: three repetitions in
+        # one chunk draw their ranks in one batched pass.
+        for chunk_args, draws in (([], 3), (["--rep-chunk", "3"], 1)):
+            assert main([
+                "obs", "profile", "--engine", "fast", *chunk_args,
+                "--family", "gnp", "--params", "n=40,p=0.1", "--k", "5",
+                "--reps", "3", "--out", str(out_path),
+            ]) == 0
+            capsys.readouterr()
+            doc = validate_profile(json.loads(out_path.read_text()))
+            assert doc["phases"]["rank_draws"]["calls"] == draws
 
 
 class TestEngineProfiling:
@@ -412,18 +423,3 @@ class TestEngineProfiling:
         phases = set(profiler.report()["phases"])
         assert {"audit_fold", "priority_mux", "round_apply",
                 "decision"} <= phases
-
-    def test_sharded_engine_shard_and_fold_phases(self):
-        if "sharded" not in available_engines():
-            pytest.skip("sharded engine unavailable")
-        net = Network(erdos_renyi_gnp(48, 0.1, seed=3))
-        profiler = PhaseProfiler()
-        engine = create_engine("sharded:2", net, profiler=profiler)
-        try:
-            engine.run_tester_repetition(5, 11)
-        finally:
-            if hasattr(engine, "close"):
-                engine.close()
-        phases = set(profiler.report(engine="sharded:2")["phases"])
-        assert {"shard0_compute", "shard1_compute",
-                "parent_fold", "halo_routing"} <= phases

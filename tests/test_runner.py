@@ -332,50 +332,7 @@ def _double(x):
 
 
 class TestPoolScheduling:
-    """Persistent pools and slot-weighted co-scheduling (executor layer)."""
-
-    def test_row_slots_by_engine(self):
-        import dataclasses
-
-        from repro.congest.engine.sharded import default_shard_count
-        from repro.runner.executor import row_slots
-
-        row = small_spec().expand().rows[0]
-        cases = {
-            "reference": 1,
-            "fast": 1,
-            "fast:chunk=4": 1,
-            "sharded:3": 3,
-            "sharded:3,chunk=4": 3,
-            "sharded": default_shard_count(),
-            "not-an-engine": 1,  # fails later, as an error record
-        }
-        for engine, slots in cases.items():
-            probe = dataclasses.replace(row, engine=engine)
-            assert row_slots(probe) == slots, engine
-
-    def test_weighted_map_validation(self):
-        from repro.runner.executor import ordered_parallel_map
-
-        with pytest.raises(ConfigurationError):
-            list(ordered_parallel_map(
-                _double, [1, 2], workers=2, chunksize=2, weights=[1, 1]
-            ))
-        with pytest.raises(ConfigurationError):
-            list(ordered_parallel_map(
-                _double, [1, 2], workers=2, weights=[1]
-            ))
-
-    def test_weighted_map_preserves_submission_order(self):
-        from repro.runner.executor import ordered_parallel_map
-
-        items = list(range(10))
-        # Oversized weights are clamped to the worker count.
-        weights = [5, 1, 2, 1, 1, 3, 1, 2, 1, 1]
-        out = list(ordered_parallel_map(
-            _double, items, workers=2, weights=weights
-        ))
-        assert out == [_double(x) for x in items]
+    """Persistent pools (executor layer)."""
 
     def test_persistent_pool_reuse_and_shutdown(self):
         from repro.runner.executor import (

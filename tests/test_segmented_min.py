@@ -63,11 +63,11 @@ def csr_instances(draw):
     }
 
 
-def _segments(inst, lo, hi):
-    """``(starts, rows)`` of the non-empty rows in ``[lo, hi)``."""
+def _segments(inst):
+    """``(starts, rows)`` of the non-empty CSR rows."""
     indptr = inst["indptr"]
-    rows = np.nonzero(np.diff(indptr)[lo:hi] > 0)[0]
-    return indptr[lo:hi][rows] - indptr[lo], rows
+    rows = np.nonzero(np.diff(indptr) > 0)[0]
+    return indptr[rows], rows
 
 
 SETTINGS = settings(
@@ -80,7 +80,7 @@ SETTINGS = settings(
 @given(csr_instances())
 def test_segmented_min_is_the_minimum_incident_tag(inst):
     n, C = inst["n"], inst["C"]
-    starts, rows = _segments(inst, 0, n)
+    starts, rows = _segments(inst)
     he_edge = inst["he_edge"]
     no_tag = np.full((C, n), INF, dtype=np.int64)
     best_r, best_e = segmented_min(
@@ -99,31 +99,23 @@ def test_segmented_min_is_the_minimum_incident_tag(inst):
 
 
 @SETTINGS
-@given(csr_instances(), st.data())
-def test_priority_mux_matches_brute_force(inst, data):
+@given(csr_instances())
+def test_priority_mux_matches_brute_force(inst):
     n, C = inst["n"], inst["C"]
     R, E, sending = inst["R"], inst["E"], inst["sending"]
-    # A receiver range [lo, hi) with its own half-edge slice, exactly
-    # as a shard of the sharded engine sees it (lo = 0, hi = n is the
-    # fast engine's whole graph).
-    lo = data.draw(st.integers(min_value=0, max_value=n))
-    hi = data.draw(st.integers(min_value=lo, max_value=n))
-    h0, h1 = inst["indptr"][lo], inst["indptr"][hi]
-    starts, rows = _segments(inst, lo, hi)
-    src, dst = inst["he_src"][h0:h1], inst["he_dst"][h0:h1]
-    best_r, best_e, matches = priority_mux(
-        R, E, sending, src, dst, starts, rows, lo, hi
-    )
-    assert best_r.shape == best_e.shape == (C, hi - lo)
-    assert matches.shape == (C, h1 - h0)
+    starts, rows = _segments(inst)
+    src, dst = inst["he_src"], inst["he_dst"]
+    best_r, best_e, matches = priority_mux(R, E, sending, src, dst, starts, rows)
+    assert best_r.shape == best_e.shape == (C, n)
+    assert matches.shape == (C, len(src))
     for c in range(C):
         best = {}
-        for v in range(lo, hi):
+        for v in range(n):
             tags = [(R[c, v], E[c, v])] + [
                 (R[c, w], E[c, w]) for w in inst["adj"][v] if sending[c, w]
             ]
             best[v] = min(tags)
-            assert (best_r[c, v - lo], best_e[c, v - lo]) == best[v]
+            assert (best_r[c, v], best_e[c, v]) == best[v]
         for h, (v, w) in enumerate(zip(src, dst)):
             survives = bool(sending[c, w]) and (R[c, w], E[c, w]) == best[v]
             assert matches[c, h] == survives
