@@ -378,9 +378,11 @@ def _run_fingerprint(run) -> tuple:
     "engines",
     # Where a fast tester repetition's time goes, on the registry's
     # C_k-free family (every repetition accepts, so every round runs).
-    # The in-body ratio is one a sort-based priority rule fails: a
-    # per-round lexsort made min_select cost 1.4-4x the rank draws; the
-    # segmented minimum costs ~0.1-0.3x.
+    # The in-body ratios are ones a per-node path fails: a per-round
+    # lexsort made min_select cost 1.4-4x the rank draws (the segmented
+    # minimum costs ~0.1-0.3x), and per-node Python sequence handling
+    # made round_apply/decision cost 0.6-0.7x/4.5x of them at n=5000 and
+    # 3.8x/7.2x at n=10^5 (the array pools cost 0.1-0.2x/~0.1x).
     smoke=[{"n": 5000, "k": 5, "reps": 4, "reference": True}],
     default=[{"n": 100000, "k": 5, "reps": 2, "reference": False}],
 )
@@ -392,8 +394,9 @@ def fast_phases(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     and audited bits summed over the repetitions are exact integer
     metrics.  Asserts that ``fast`` and ``fast:chunk=4`` (and, where the
     case asks, the reference engine) give identical fingerprints —
-    verdict, evidence and every round's audit — and that
-    ``min_select <= 0.5 x rank_draws``.
+    verdict, evidence and every round's audit — and that, against the
+    rank draws, ``min_select <= 0.5x``, ``round_apply <= 0.5x`` and
+    ``decision <= 1.0x``.
     """
     from ..congest.engine import PhaseProfiler, available_engines, create_engine
     from ..congest.network import Network
@@ -427,10 +430,18 @@ def fast_phases(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
         p: phases[p]["seconds"] / reps * 1e3 if p in phases else 0.0
         for p in _FAST_PHASES
     }
-    ratio = ms["min_select"] / max(ms["rank_draws"], 1e-12)
+    draws = max(ms["rank_draws"], 1e-12)
+    ratio = ms["min_select"] / draws
     assert ratio <= 0.5, (
         f"min_select took {ratio:.2f}x the rank draws (ceiling 0.5x): the "
         "priority rule's per-node minimum is no longer linear-time"
+    )
+    apply_ratio = ms["round_apply"] / draws
+    decision_ratio = ms["decision"] / draws
+    assert apply_ratio <= 0.5 and decision_ratio <= 1.0, (
+        f"round_apply/decision took {apply_ratio:.2f}x/{decision_ratio:.2f}x "
+        "the rank draws (ceilings 0.5x/1.0x): Phase-2 sequence handling "
+        "is back to per-node Python"
     )
     metrics: Dict[str, Any] = {
         "n": g.n,
@@ -441,6 +452,8 @@ def fast_phases(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
         "bits": sum(run.trace.total_bits for run in runs),
         "rep_ms": rep_ms,
         "min_select_over_rank_draws": ratio,
+        "round_apply_over_rank_draws": apply_ratio,
+        "decision_over_rank_draws": decision_ratio,
     }
     for p in _FAST_PHASES:
         metrics[f"{p}_ms"] = ms[p]

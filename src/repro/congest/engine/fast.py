@@ -23,11 +23,18 @@ per round with vectorized array operations:
   side by side over ``(C, …)`` stacks; a serial repetition is a chunk
   of one.
 * **Sequence processing** (Instructions 10–27 and the final decision)
-  runs through the *same* pure functions as the reference engine —
+  holds each repetition's sequences as int64 ID pools — node ``v``'s
+  are the rows ``ptr[v]:ptr[v + 1]`` of one ``(rows, t)`` matrix — so
+  delivery is one array gather, the default pruner's round-2 sends are
+  a closed form (each node's first ``k − 1`` matched neighbours by ID),
+  and the decision is prefiltered by Lemma 1 (a node whose decision
+  inputs all start at one endpoint cannot reject).  Python runs per
+  node only for the greedy pruner at rounds ``t ≥ 3`` and for the
+  evidence search at nodes that can still reject, through the *same*
+  pure functions and inputs as the reference engine —
   :func:`~repro.core.algorithm1.process_phase2_round` and
-  :func:`~repro.core.algorithm1.find_detection_evidence` — but only for
-  the nodes that actually received sequences under their winning tag,
-  which is what makes the verdict equivalence structural rather than
+  :func:`~repro.core.algorithm1.find_detection_evidence` — which is
+  what makes the verdict equivalence structural rather than
   statistical.
 * **The bit audit is aggregate instead of per-message**: a broadcast
   costs the same bits on every incident edge, so per-round totals,
@@ -50,7 +57,7 @@ should use the reference engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +74,9 @@ __all__ = ["FastEngine", "draw_owned_ranks", "priority_mux", "segmented_min"]
 #: Sentinel rank (and edge index) for "no tag"; real ranks are in
 #: [1, m**2] and edge indices in [0, m).
 _INF = np.int64(1) << np.int64(62)
+
+#: One round's sequences of one repetition (see ``FastEngine._pool``).
+Pool = Tuple[np.ndarray, np.ndarray]
 
 
 #: Owners with more owned edges than this draw from their own numpy
@@ -243,13 +253,18 @@ class FastEngine(CongestEngine):
         if len(uniq) != g.m:  # pragma: no cover - Graph guarantees simple
             raise CongestError("inconsistent edge count in CSR compile")
         self._edge_of_he = edge_of_he
-        # Owned half-edges (src ID < dst ID), in the reference draw order:
-        # by owner vertex, then ascending neighbour ID (packed like the
-        # edge table: vertex indices and IDs both fit 32 bits).
-        owned = np.nonzero(src_id < dst_id)[0]
-        owner = he_src[owned].astype(np.uint64)
-        draw_key = (owner << np.uint64(32)) | dst_id[owned].astype(np.uint64)
-        self._owned_he = owned[np.argsort(draw_key, kind="stable")]
+        # Half-edges by (receiving vertex, sender ID), packed like the
+        # edge table (vertex indices and IDs both fit 32 bits; keys are
+        # unique).  This is the order of the round-2 seeds each node
+        # receives and, restricted to owned half-edges (src ID < dst ID),
+        # the reference Phase-1 draw order: by owner, then neighbour ID.
+        by_key = (he_src.astype(np.uint64) << np.uint64(32)) | dst_id.astype(
+            np.uint64
+        )
+        self._he_by_id = np.argsort(by_key)
+        self._owned_he = self._he_by_id[
+            src_id[self._he_by_id] < dst_id[self._he_by_id]
+        ]
         owner_of_owned = he_src[self._owned_he]
         owners, counts = np.unique(owner_of_owned, return_counts=True)
         self._owners = owners
@@ -285,7 +300,7 @@ class FastEngine(CongestEngine):
             for arr in (
                 self._ids, self._indptr, self._indices, self._degrees,
                 self._rows, self._row_starts, self._he_src, self._he_dst,
-                self._edge_of_he, self._owned_he, self._owners,
+                self._edge_of_he, self._he_by_id, self._owned_he, self._owners,
                 self._owner_counts, self._owner_offsets,
             )
         )
@@ -348,25 +363,134 @@ class FastEngine(CongestEngine):
         return overhead + num_seqs * self._seq_bits(seq_len)
 
     # ------------------------------------------------------------------
-    # Shared phase-2 machinery
+    # Phase-2 sequence pools
     # ------------------------------------------------------------------
-    def _gather_received(
-        self, matches: np.ndarray, sent_seqs: Dict[int, list]
-    ) -> Dict[int, list]:
-        """Concatenate surviving senders' sequences per receiving node."""
-        recv: Dict[int, list] = {}
-        src = self._he_src[matches].tolist()
-        dst = self._he_dst[matches].tolist()
-        for v, u in zip(src, dst):
-            seqs = sent_seqs.get(u)
-            if not seqs:
-                continue
-            bucket = recv.get(v)
-            if bucket is None:
-                recv[v] = list(seqs)
-            else:
-                bucket.extend(seqs)
-        return recv
+    # A pool is one repetition's sequences of one round as ``(mat, ptr)``:
+    # node ``v`` holds the rows ``ptr[v]:ptr[v + 1]`` of the ``(rows, t)``
+    # int64 ID matrix ``mat``, in the order the node sent (or received)
+    # them.
+    @staticmethod
+    def _pool(mat: np.ndarray, counts: np.ndarray) -> Pool:
+        """A pool from its rows and each node's row count."""
+        ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        return mat, ptr
+
+    @staticmethod
+    def _rows_of(pool: Pool, v: int) -> List[tuple]:
+        """Node ``v``'s sequences in ``pool``, as ID tuples."""
+        mat, ptr = pool
+        return list(map(tuple, mat[ptr[v] : ptr[v + 1]].tolist()))
+
+    def _gather(self, matched: np.ndarray, sent: Pool) -> Pool:
+        """What every node receives: each matched half-edge's sender
+        block, concatenated in CSR order."""
+        mat, ptr = sent
+        hm = np.flatnonzero(matched)
+        senders = self._he_dst[hm]
+        lens = ptr[senders + 1] - ptr[senders]
+        first = np.repeat(ptr[senders] - (np.cumsum(lens) - lens), lens)
+        counts = np.bincount(self._he_src[hm], lens, minlength=len(ptr) - 1)
+        return self._pool(
+            mat[first + np.arange(len(first))], counts.astype(np.int64)
+        )
+
+    def _seed_round(self, matched: np.ndarray, k: int) -> Pool:
+        """Round-2 sends of :class:`~repro.core.pruning.HittingSetPruner`
+        in closed form.
+
+        A node receives one singleton seed per matched neighbour, none
+        holding its own ID.  The residues of kept seeds are disjoint
+        singletons, so the ``q = k - 2`` hitting-set test keeps exactly
+        the first ``k - 1`` seeds in sorted order: each node sends
+        ``(seed, own ID)`` for its first ``k - 1`` matched neighbours by
+        ID.
+        """
+        order = self._he_by_id
+        hit = matched[order]
+        before = np.cumsum(hit) - hit
+        # ``order`` permutes only within each receiver's CSR segment, so
+        # a hit's rank among its receiver's hits is ``before`` minus its
+        # value at the segment start.
+        rank = before - np.repeat(
+            before[self._row_starts], self._degrees[self._rows]
+        )
+        keep = order[hit & (rank < k - 1)]
+        recv = self._he_src[keep]
+        mat = np.stack((self._ids[self._he_dst[keep]], self._ids[recv]), axis=1)
+        return self._pool(mat, np.bincount(recv, minlength=len(self._ids)))
+
+    def _apply_round(self, recv: Pool, k: int, t: int, pruner) -> Pool:
+        """Instructions 10–27 at every receiving node: the pruner is
+        greedy and order-dependent, so this is per-node Python."""
+        from ...core.algorithm1 import process_phase2_round
+        from ...core.sequences import sort_sequences
+
+        mat, ptr = recv
+        ids = self._id_list
+        rows = mat.tolist()
+        nodes = np.flatnonzero(np.diff(ptr))
+        sent: List[tuple] = []
+        lens: List[int] = []
+        for v, lo, hi in zip(
+            nodes.tolist(), ptr[nodes].tolist(), ptr[nodes + 1].tolist()
+        ):
+            send = process_phase2_round(
+                ids[v], sort_sequences(map(tuple, rows[lo:hi])), k, t, pruner
+            )
+            sent.extend(send)
+            lens.append(len(send))
+        counts = np.zeros(len(ids), dtype=np.int64)
+        counts[nodes] = lens
+        return self._pool(np.array(sent, dtype=np.int64).reshape(-1, t), counts)
+
+    @staticmethod
+    def _first_id_range(pool: Pool) -> Tuple[np.ndarray, np.ndarray]:
+        """Per node, the smallest and largest first ID of its sequences
+        (``_INF`` and ``-1`` for a node holding none)."""
+        mat, ptr = pool
+        lo = np.full(len(ptr) - 1, _INF)
+        hi = np.full(len(ptr) - 1, -1, dtype=np.int64)
+        nodes = np.flatnonzero(np.diff(ptr))
+        if len(nodes):
+            lo[nodes] = np.minimum.reduceat(mat[:, 0], ptr[nodes])
+            hi[nodes] = np.maximum.reduceat(mat[:, 0], ptr[nodes])
+        return lo, hi
+
+    def _decide(
+        self, k: int, recv: Pool, own: Pool, stale: np.ndarray
+    ) -> Dict[int, Tuple[int, ...]]:
+        """Instructions 31–42 for one repetition: ``{vertex: cycle}`` of
+        the rejecting nodes.
+
+        Exact prefilter (Lemma 1): every sequence held under a tag starts
+        at an endpoint of that tag's edge, and ``|L1 ∪ L2 ∪ {ID}| = k``
+        needs two disjoint sequences — two received ones for odd ``k``;
+        the node's own last send (unless ``stale``: its tag switched) and
+        a received one for even ``k`` — which start at different
+        endpoints.  So only nodes whose decision inputs start at two
+        different IDs can reject, and only they run
+        :func:`~repro.core.algorithm1.find_detection_evidence`, on the
+        sorted received list and the own send unless stale.
+        """
+        from ...core.algorithm1 import find_detection_evidence
+        from ...core.sequences import sort_sequences
+
+        lo, hi = self._first_id_range(recv)
+        if k % 2 == 0:
+            own_lo, own_hi = self._first_id_range(own)
+            lo = np.where(stale, lo, np.minimum(lo, own_lo))
+            hi = np.where(stale, hi, np.maximum(hi, own_hi))
+        found = {}
+        for v in np.flatnonzero((np.diff(recv[1]) > 0) & (lo != hi)).tolist():
+            received = sort_sequences(self._rows_of(recv, v))
+            own_seqs = [] if stale[v] else self._rows_of(own, v)
+            cycle = find_detection_evidence(
+                self._id_list[v], k, own_seqs, received
+            )
+            if cycle is not None:
+                found[v] = cycle
+        return found
 
     # ------------------------------------------------------------------
     # Phase 1: rank draws
@@ -416,19 +540,17 @@ class FastEngine(CongestEngine):
         exactly what serial execution would).
 
         The rank draws, round-2 selection and every round's priority
-        rule run once per chunk over ``(repetitions, …)`` stacks;
-        per-repetition Python sequence work and the per-round audit fold
-        stay serial per repetition — they are state-dependent.  A serial
-        repetition is a chunk of one.
+        rule run once per chunk over ``(repetitions, …)`` stacks; each
+        repetition's sequences are int64 ID pools, so the gather, the
+        round-2 sends and the decision prefilter are array passes.  Only
+        the pruner at rounds ``t >= 3`` (or any round, for a pruner
+        other than :class:`~repro.core.pruning.HittingSetPruner`) and the
+        evidence search at nodes that can still reject run per node.  A
+        serial repetition is a chunk of one.
         """
-        from ...core.algorithm1 import (
-            DetectionOutcome,
-            find_detection_evidence,
-            process_phase2_round,
-        )
+        from ...core.algorithm1 import DetectionOutcome
         from ...core.phase1 import protocol_rounds
         from ...core.pruning import HittingSetPruner
-        from ...core.sequences import sort_sequences
 
         self._check_k(k)
         pruner = pruner if pruner is not None else HittingSetPruner()
@@ -436,15 +558,12 @@ class FastEngine(CongestEngine):
         g = self._net.graph
         n = g.n
         C = len(rep_seeds)
-        ids = self._id_list
         he_src, he_dst = self._he_src, self._he_dst
         starts, rows = self._row_starts, self._rows
-        accept = DetectionOutcome(rejects=False)
         traces = [
             ExecutionTrace(n=n, m=g.m, size_model=self._size_model)
             for _ in range(C)
         ]
-        outputs = [{v: accept for v in range(n)} for _ in range(C)]
 
         # Round 1 — rank draws, batched across the whole chunk.
         with prof.phase("rank_draws"):
@@ -465,29 +584,19 @@ class FastEngine(CongestEngine):
                 no_tag,
             )
         sending = np.broadcast_to(self._degrees > 0, (C, n)).copy()
-        sender_arr = np.nonzero(self._degrees > 0)[0]
-        sent_seqs = [
-            {v: [(ids[v],)] for v in sender_arr.tolist()} for _ in range(C)
-        ]
+        seeds = self._pool(self._ids[rows][:, None], sending[0].astype(np.int64))
+        pools = [seeds] * C
         seed_bits = self._bundle_bits(1, 1, tagged=True)
         with prof.phase("audit_fold"):
             for trace in traces:
                 self._record_broadcasts(
                     self._begin_round(trace, 2),
                     2,
-                    sender_arr,
-                    np.full(len(sender_arr), seed_bits, dtype=np.int64),
-                    np.ones(len(sender_arr), dtype=np.int64),
+                    rows,
+                    np.full(len(rows), seed_bits, dtype=np.int64),
+                    np.ones(len(rows), dtype=np.int64),
                 )
-
-        # The round-2 send of the default pruner has a closed form: the
-        # received sequences are singleton seeds (none containing the
-        # receiving ID), and HittingSetPruner keeps exactly the first
-        # k-1 of them in sorted order (the residues are disjoint
-        # singletons, so the q = k-2 hitting-set test passes while at
-        # most k-2 sequences are kept).  Skipping the generic pruner for
-        # this one round removes most per-node Python work.
-        seed_shortcut = type(pruner) is HittingSetPruner
+        closed_form = type(pruner) is HittingSetPruner
 
         # Rounds 3..1+⌊k/2⌋ — prioritized multiplexed Phase 2.
         for t in range(2, k // 2 + 1):
@@ -495,77 +604,50 @@ class FastEngine(CongestEngine):
                 R, E, match_mask = priority_mux(
                     R, E, sending, he_src, he_dst, starts, rows
                 )
-            new_sending = np.zeros((C, n), dtype=bool)
+            sending = np.zeros((C, n), dtype=bool)
             per_seq = self._seq_bits(t)
             for r in range(C):
-                with prof.phase("priority_mux"):
-                    matches = np.nonzero(match_mask[r])[0]
-                    recv = self._gather_received(matches, sent_seqs[r])
-                new_sent: Dict[int, list] = {}
-                with prof.phase("round_apply"):
-                    if t == 2 and seed_shortcut:
-                        keep = k - 1
-                        for v, lst in recv.items():
-                            lst.sort()
-                            my = ids[v]
-                            new_sent[v] = [s + (my,) for s in lst[:keep]]
-                            new_sending[r, v] = True
-                    else:
-                        for v, lst in recv.items():
-                            send = process_phase2_round(
-                                ids[v], sort_sequences(lst), k, t, pruner
-                            )
-                            if send:
-                                new_sent[v] = send
-                                new_sending[r, v] = True
-                sent_seqs[r] = new_sent
-                senders = np.fromiter(
-                    new_sent, dtype=np.int64, count=len(new_sent)
-                )
-                senders.sort()
-                lens = np.fromiter(
-                    (len(new_sent[int(v)]) for v in senders),
-                    dtype=np.int64,
-                    count=len(senders),
-                )
+                if t == 2 and closed_form:
+                    with prof.phase("round_apply"):
+                        pools[r] = self._seed_round(match_mask[r], k)
+                else:
+                    with prof.phase("priority_mux"):
+                        recv = self._gather(match_mask[r], pools[r])
+                    with prof.phase("round_apply"):
+                        pools[r] = self._apply_round(recv, k, t, pruner)
+                counts = np.diff(pools[r][1])
+                senders = np.flatnonzero(counts)
+                sending[r, senders] = True
                 with prof.phase("audit_fold"):
                     self._record_broadcasts(
                         self._begin_round(traces[r], t + 1),
                         t + 1,
                         senders,
-                        self._bits_tagged_overhead + lens * per_seq,
-                        lens,
+                        self._bits_tagged_overhead + counts[senders] * per_seq,
+                        counts[senders],
                     )
-            sending = new_sending
 
         # Final decision (no further communication round).  At this
-        # point sent_seqs / (R, E) hold the final round's non-empty sends
-        # and the tags they were sent under.
+        # point pools / (R, E) hold the final round's sends and the tags
+        # they were sent under.
         with prof.phase("priority_mux"):
             bestR, bestE, match_mask = priority_mux(
                 R, E, sending, he_src, he_dst, starts, rows
             )
         # Nodes whose winning tag moved off the one they last sent under.
         switched = (R != bestR) | (E != bestE)
+        accept = DetectionOutcome(rejects=False)
         runs = []
         for r in range(C):
             with prof.phase("priority_mux"):
-                matches = np.nonzero(match_mask[r])[0]
-                recv = self._gather_received(matches, sent_seqs[r])
+                recv = self._gather(match_mask[r], pools[r])
             with prof.phase("decision"):
-                stale = set(np.flatnonzero(switched[r]).tolist())
-                for v, lst in recv.items():
-                    received = sort_sequences(lst)
-                    own = sent_seqs[r].get(v, [])
-                    if own and v in stale:
-                        own = []  # stale tag: the node switched executions
-                    cycle = find_detection_evidence(ids[v], k, own, received)
-                    if cycle is not None:
-                        outputs[r][v] = DetectionOutcome(
-                            rejects=True, cycle=cycle
-                        )
+                found = self._decide(k, recv, pools[r], switched[r])
+            outputs = dict.fromkeys(range(n), accept)
+            for v, cycle in found.items():
+                outputs[v] = DetectionOutcome(rejects=True, cycle=cycle)
             assert traces[r].num_rounds == protocol_rounds(k)
-            runs.append(RunResult(outputs[r], traces[r]))
+            runs.append(RunResult(outputs, traces[r]))
         return runs
 
     # ------------------------------------------------------------------

@@ -400,7 +400,6 @@ class CkMonitor:
             graph if isinstance(graph, DynamicGraph) else DynamicGraph(graph)
         )
         self.stats = MonitorStats()
-        self.history: List[StepRecord] = []
         self._accepted, self._witness = self._full_redetect()
 
     # ------------------------------------------------------------------
@@ -482,7 +481,7 @@ class CkMonitor:
             self.stats.verdict_flips += 1
         if self._telemetry.enabled:
             self._export_step(action, hit_kind, flipped)
-        record = StepRecord(
+        return StepRecord(
             version=self.version,
             mutation=mutation,
             action=action,
@@ -490,8 +489,6 @@ class CkMonitor:
             witness=self._witness,
             flipped=flipped,
         )
-        self.history.append(record)
-        return record
 
     def run_stream(self, mutations: Sequence[Mutation]) -> List[StepRecord]:
         """Apply a whole mutation sequence; returns the step records."""

@@ -245,6 +245,10 @@ def compare_engines_once(
 
     The first engine is the baseline; each of the others is compared
     against it (engines may be spec strings such as ``"fast:chunk=4"``).
+    A tester comparison runs ``C`` consecutive seeds from ``seed`` through
+    every engine's :meth:`~repro.congest.engine.CongestEngine.iter_tester_chunk`,
+    where ``C`` is the largest chunk size among the specs, so a chunked
+    spec is checked on one whole chunk of its batched kernel.
     Compared per run: the rejecting-vertex set, each rejector's cycle
     evidence, the round count, and the per-round audit aggregates
     (message count, total/max bits, the edge carrying the first maximum,
@@ -253,44 +257,45 @@ def compare_engines_once(
     if len(engines) < 2:
         raise ValueError("compare_engines_once needs at least two engines")
     net = network if network is not None else Network(graph)
-    runs = []
-    for name in engines:
-        eng = create_engine(name, net)
-        if what == "tester":
-            runs.append(eng.run_tester_repetition(k, seed))
-        else:
-            edge_ids = edge if edge is not None else net.edge_ids(
-                *next(iter(graph.edges()))
-            )
-            runs.append(eng.run_detect(k, edge_ids))
-    a = runs[0]
-    out: List[EngineMismatch] = []
-    for other, b in zip(engines[1:], runs[1:]):
-        pair = (engines[0], other)
+    engs = [create_engine(name, net) for name in engines]
+    if what == "tester":
+        seeds = [seed + i for i in range(max(eng.rep_chunk for eng in engs))]
+        runs = [list(eng.iter_tester_chunk(k, seeds)) for eng in engs]
+    else:
+        edge_ids = edge if edge is not None else net.edge_ids(
+            *next(iter(graph.edges()))
+        )
+        seeds = [seed]
+        runs = [[eng.run_detect(k, edge_ids)] for eng in engs]
+    return [
+        EngineMismatch(
+            instance=instance, what=what, k=k, seed=run_seed,
+            field=field_name, detail=detail, pair=(engines[0], other),
+        )
+        for other, other_runs in zip(engines[1:], runs[1:])
+        for run_seed, a, b in zip(seeds, runs[0], other_runs)
+        for field_name, detail in _run_differences(a, b)
+    ]
 
-        def miss(field_name: str, detail: str) -> None:
-            out.append(
-                EngineMismatch(
-                    instance=instance, what=what, k=k, seed=seed,
-                    field=field_name, detail=detail, pair=pair,
-                )
-            )
 
-        ra, rb = _reject_set(a), _reject_set(b)
-        if ra != rb:
-            miss("rejecting_vertices", f"{sorted(ra)} != {sorted(rb)}")
-        for v in ra & rb:
-            if a.outputs[v].cycle != b.outputs[v].cycle:
-                miss("cycle", f"vertex {v}: "
-                     f"{a.outputs[v].cycle} != {b.outputs[v].cycle}")
-        if a.trace.num_rounds != b.trace.num_rounds:
-            miss("rounds", f"{a.trace.num_rounds} != {b.trace.num_rounds}")
-        for ra_, rb_ in zip(a.trace.rounds, b.trace.rounds):
-            for attr in ("messages", "total_bits", "max_message_bits",
-                         "max_edge", "max_sequences"):
-                if getattr(ra_, attr) != getattr(rb_, attr):
-                    miss(f"round{ra_.round_index}.{attr}",
-                         f"{getattr(ra_, attr)} != {getattr(rb_, attr)}")
+def _run_differences(a, b) -> List[Tuple[str, str]]:
+    """``(field, detail)`` for every observable difference of two runs."""
+    out: List[Tuple[str, str]] = []
+    ra, rb = _reject_set(a), _reject_set(b)
+    if ra != rb:
+        out.append(("rejecting_vertices", f"{sorted(ra)} != {sorted(rb)}"))
+    for v in ra & rb:
+        if a.outputs[v].cycle != b.outputs[v].cycle:
+            out.append(("cycle", f"vertex {v}: "
+                        f"{a.outputs[v].cycle} != {b.outputs[v].cycle}"))
+    if a.trace.num_rounds != b.trace.num_rounds:
+        out.append(("rounds", f"{a.trace.num_rounds} != {b.trace.num_rounds}"))
+    for ra_, rb_ in zip(a.trace.rounds, b.trace.rounds):
+        for attr in ("messages", "total_bits", "max_message_bits",
+                     "max_edge", "max_sequences"):
+            if getattr(ra_, attr) != getattr(rb_, attr):
+                out.append((f"round{ra_.round_index}.{attr}",
+                            f"{getattr(ra_, attr)} != {getattr(rb_, attr)}"))
     return out
 
 

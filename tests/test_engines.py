@@ -28,7 +28,7 @@ from repro.congest.engine import (
     ensure_engine_available,
 )
 from repro.congest.engine.fastrng import RankStreams
-from repro.congest.ids import RandomPermutationIds, ReverseIds
+from repro.congest.ids import RandomPermutationIds, ReverseIds, SpreadIds
 from repro.congest.network import Network
 from repro.core.algorithm1 import detect_cycle_through_edge
 from repro.core.tester import CkFreenessTester
@@ -225,18 +225,27 @@ class TestCrossEngineEquivalence:
         assert report.ok, report.mismatches
 
     @pytest.mark.parametrize("assigner", [None, ReverseIds(),
-                                          RandomPermutationIds(seed=3)])
+                                          RandomPermutationIds(seed=3),
+                                          SpreadIds()])
     def test_id_assignment_does_not_break_equivalence(self, assigner):
-        g = erdos_renyi_gnp(24, 0.2, seed=5)
-        net = Network(g, assigner)
-        for k in (4, 5):
-            for seed in (0, 9):
-                assert compare_engines_once(
-                    g, k, seed, network=net, what="tester"
-                ) == []
-                assert compare_engines_once(
-                    g, k, seed, network=net, what="detect"
-                ) == []
+        # Under identity IDs the CSR row order already is ID order, so a
+        # kernel that keeps a node's first k-1 round-2 seeds in CSR order
+        # instead of by sender ID only shows up under the other
+        # assigners: at k = 4, once on the sparse graph, and under every
+        # non-identity assigner on the denser one.
+        engines = ("reference", "fast", "fast:chunk=3")
+        for g in (erdos_renyi_gnp(24, 0.2, seed=5),
+                  erdos_renyi_gnp(24, 0.4, seed=5)):
+            net = Network(g, assigner)
+            for k in range(3, 9):
+                for seed in (0, 9):
+                    assert compare_engines_once(
+                        g, k, seed, engines=engines, network=net,
+                        what="tester",
+                    ) == []
+                    assert compare_engines_once(
+                        g, k, seed, network=net, what="detect"
+                    ) == []
 
     def test_tester_results_identical_end_to_end(self):
         g = registry.build_graph("eps-far", n=40, k=5, eps=0.1, seed=2)
