@@ -802,6 +802,12 @@ def per_edge_scaling(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     return {"cells": len(rows), "per_edge_ratio": float(t_large / t_small)}
 
 
+#: Ceiling on Network + compile from a fresh graph, in fast tester
+#: repetitions on that graph.  An eager per-node build (a NodeContext per
+#: vertex, a per-vertex CSR export) measures 5-7x at n=10^5.
+_MAX_BUILD_OVER_REP = 2.0
+
+
 @benchmark(
     "scalability",
     # The 10^5+ point of the roadmap's scaling curve: one fast tester
@@ -812,20 +818,31 @@ def per_edge_scaling(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     full=[{"n": 1_000_000, "k": 5}],
 )
 def fast_scale(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Fast tester repetition at 10^5+ nodes."""
+    """Fast tester repetition at 10^5+ nodes, and the build before it."""
     from ..congest.engine import create_engine
     from ..congest.network import Network
     from ..graphs import erdos_renyi_gnm
 
     g = erdos_renyi_gnm(case["n"], 2 * case["n"], seed=1)
-    eng = create_engine("fast", Network(g))
     t0 = time.perf_counter()
+    net = Network(g)
+    t1 = time.perf_counter()
+    eng = create_engine("fast", net)
+    t2 = time.perf_counter()
     run = eng.run_tester_repetition(case["k"], seed % (2**32))
-    wall = time.perf_counter() - t0
+    wall = time.perf_counter() - t2
+    build_over_rep = (t2 - t0) / wall
+    assert build_over_rep <= _MAX_BUILD_OVER_REP, (
+        f"Network + compile took {build_over_rep:.2f}x one repetition "
+        f"(limit {_MAX_BUILD_OVER_REP}x)"
+    )
     return {
         "n": g.n,
         "m": g.m,
         "wall_rep": wall,
+        "network_ms": (t1 - t0) * 1e3,
+        "compile_ms": (t2 - t1) * 1e3,
+        "build_over_rep": build_over_rep,
         "rejecting_vertices": sum(1 for o in run.outputs.values() if o.rejects),
     }
 

@@ -46,15 +46,9 @@ class Network:
         self._ids: List[int] = ids
         self._index_of: Dict[int, int] = {nid: v for v, nid in enumerate(ids)}
         self._id_space = assigner.id_space(graph.n)
-        self._contexts: List[NodeContext] = [
-            NodeContext(
-                my_id=ids[v],
-                neighbor_ids=tuple(sorted(ids[w] for w in graph.neighbors(v))),
-                n_hint=graph.n,
-                m_hint=graph.m,
-            )
-            for v in graph.vertices()
-        ]
+        # Built on first context() call: only the per-node scheduler
+        # reads contexts, and the array engines never do.
+        self._contexts: List[Optional[NodeContext]] = [None] * graph.n
 
     # ------------------------------------------------------------------
     @property
@@ -94,7 +88,17 @@ class Network:
 
     def context(self, vertex: int) -> NodeContext:
         """The (immutable) context handed to the program at this vertex."""
-        return self._contexts[vertex]
+        ctx = self._contexts[vertex]
+        if ctx is None:
+            ids = self._ids
+            graph = self._graph
+            ctx = self._contexts[vertex] = NodeContext(
+                my_id=ids[vertex],
+                neighbor_ids=tuple(sorted(ids[w] for w in graph.neighbors(vertex))),
+                n_hint=graph.n,
+                m_hint=graph.m,
+            )
+        return ctx
 
     def edge_ids(self, u: int, v: int) -> Tuple[int, int]:
         """The ID pair of an edge given by vertex indices, sorted by ID."""

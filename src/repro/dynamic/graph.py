@@ -15,19 +15,29 @@ Snapshots (:meth:`snapshot`) pair a frozen copy with its
 :meth:`~repro.graphs.graph.Graph.content_hash`, so two histories that
 reach the same graph state are detectably equal without edge-by-edge
 comparison.
+
+The log is stored as three integer columns — an op code and the two
+endpoints, ``-1`` where an operation has none — about 17 bytes per
+mutation; :class:`Mutation` objects are built only when :attr:`log` or
+:meth:`as_of` reads them.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from ..errors import GraphError
 from ..graphs.graph import Graph
 from .mutations import ADD_EDGE, ADD_VERTEX, REMOVE_EDGE, Mutation
 
 __all__ = ["DynamicGraph", "Snapshot", "apply_mutation"]
+
+#: Op codes of the compact log, indexed by code.
+_LOG_OPS = (ADD_EDGE, REMOVE_EDGE, ADD_VERTEX)
+_LOG_CODE = {op: code for code, op in enumerate(_LOG_OPS)}
 
 
 def apply_mutation(graph: Graph, mutation: Mutation) -> None:
@@ -69,7 +79,10 @@ class DynamicGraph:
     def __init__(self, base: Graph) -> None:
         self._base = base.copy()
         self._graph = base.copy()
-        self._log: List[Mutation] = []
+        # The mutation log as columns: op code, u, v (-1: no endpoint).
+        self._ops = array("b")
+        self._us = array("q")
+        self._vs = array("q")
         # Guards the (graph, log) pair so snapshot()/as_of() observe a
         # single consistent version even when another thread is applying
         # mutations (the service harness runs its event loop on a
@@ -94,12 +107,14 @@ class DynamicGraph:
     @property
     def version(self) -> int:
         """Number of applied mutations; names the current state."""
-        return len(self._log)
+        return len(self._ops)
 
     @property
     def log(self) -> Tuple[Mutation, ...]:
         """The applied mutations, oldest first."""
-        return tuple(self._log)
+        with self._state_lock:
+            columns = (self._ops[:], self._us[:], self._vs[:])
+        return tuple(_decode(*columns))
 
     @property
     def n(self) -> int:
@@ -128,7 +143,7 @@ class DynamicGraph:
         the snapshot from another thread.
         """
         with self._state_lock:
-            version = len(self._log)
+            version = len(self._ops)
             frozen = self._graph.copy()
         return Snapshot(
             version=version,
@@ -146,9 +161,12 @@ class DynamicGraph:
         leaves both the graph and the log untouched.
         """
         canonical = mutation.canonical()
+        u, v = canonical.edge or (-1, -1)
         with self._state_lock:
             apply_mutation(self._graph, canonical)
-            self._log.append(canonical)
+            self._ops.append(_LOG_CODE[canonical.op])
+            self._us.append(u)
+            self._vs.append(v)
         return canonical
 
     def apply_all(self, mutations: Iterable[Mutation]) -> List[Mutation]:
@@ -181,9 +199,11 @@ class DynamicGraph:
                 raise GraphError(
                     f"version {version} out of range [0, {self.version}]"
                 )
-            prefix = self._log[:version]
+            prefix = (
+                self._ops[:version], self._us[:version], self._vs[:version]
+            )
         g = self._base.copy()
-        for mutation in prefix:
+        for mutation in _decode(*prefix):
             apply_mutation(g, mutation)
         return g
 
@@ -198,3 +218,10 @@ class DynamicGraph:
         return (
             f"DynamicGraph(n={self.n}, m={self.m}, version={self.version})"
         )
+
+
+def _decode(ops: array, us: array, vs: array) -> Iterator[Mutation]:
+    """The :class:`Mutation` objects of log columns, in order."""
+    for code, u, v in zip(ops, us, vs):
+        op = _LOG_OPS[code]
+        yield Mutation(op) if op == ADD_VERTEX else Mutation(op, u, v)

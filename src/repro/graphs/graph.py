@@ -4,7 +4,14 @@ The CONGEST model of the paper works on connected simple graphs (no
 self-loops, no parallel edges).  This module provides a small, fast,
 dependency-free graph type tuned for the access patterns of the simulator:
 O(1) adjacency-set lookups, cheap neighbour iteration in deterministic
-(sorted) order, and an optional CSR export for vectorised analyses.
+(sorted) order, and a vectorised CSR export for the array engines.
+
+Derived views — the sorted neighbour tuples, the CSR export and the
+content hash — are memoised on first use and cleared by every mutation,
+so repeated reads of an unchanged graph cost nothing.  Memo writes
+happen in readers: a graph shared between threads needs the same
+external serialisation of reads against mutations that the sorted
+neighbour cache has always needed.
 
 ``networkx`` interop lives in :mod:`repro.graphs.convert` so that the hot
 path never imports networkx.
@@ -13,6 +20,7 @@ path never imports networkx.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -39,7 +47,7 @@ class Graph:
         surface early.
     """
 
-    __slots__ = ("_n", "_m", "_adj", "_sorted_cache")
+    __slots__ = ("_n", "_m", "_adj", "_sorted_cache", "_csr_cache", "_hash_cache")
 
     def __init__(
         self,
@@ -54,6 +62,8 @@ class Graph:
         self._m = 0
         self._adj: List[Set[int]] = [set() for _ in range(n)]
         self._sorted_cache: List[Tuple[int, ...]] | None = None
+        self._csr_cache: Tuple[np.ndarray, np.ndarray] | None = None
+        self._hash_cache: str | None = None
         for u, v in edges:
             self.add_edge(u, v, strict=strict)
 
@@ -74,6 +84,8 @@ class Graph:
         self._adj[v].add(u)
         self._m += 1
         self._sorted_cache = None
+        self._csr_cache = None
+        self._hash_cache = None
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete the undirected edge ``{u, v}``; raises if absent."""
@@ -85,12 +97,16 @@ class Graph:
         self._adj[v].discard(u)
         self._m -= 1
         self._sorted_cache = None
+        self._csr_cache = None
+        self._hash_cache = None
 
     def add_vertex(self) -> int:
         """Append a fresh isolated vertex and return its index."""
         self._adj.append(set())
         self._n += 1
         self._sorted_cache = None
+        self._csr_cache = None
+        self._hash_cache = None
         return self._n - 1
 
     # ------------------------------------------------------------------
@@ -255,15 +271,36 @@ class Graph:
     # Array export
     # ------------------------------------------------------------------
     def to_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Export adjacency as CSR ``(indptr, indices)`` numpy arrays."""
-        indptr = np.zeros(self._n + 1, dtype=np.int64)
-        for u in range(self._n):
-            indptr[u + 1] = indptr[u] + len(self._adj[u])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for u in range(self._n):
-            nb = self.neighbors(u)
-            indices[int(indptr[u]): int(indptr[u + 1])] = nb
-        return indptr, indices
+        """Adjacency as CSR ``(indptr, indices)`` int64 arrays.
+
+        Row ``u`` of ``indices`` lists ``u``'s neighbours in ascending
+        order.  The pair is built in three array passes (degrees, the
+        flattened adjacency sets, one sort of ``row * n + neighbour``
+        keys) and memoised until the next mutation, so both arrays are
+        shared between callers and marked read-only.
+        """
+        csr = self._csr_cache
+        if csr is None:
+            n = self._n
+            adj = self._adj
+            degrees = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(degrees, out=indptr[1:])
+            indices = np.fromiter(
+                itertools.chain.from_iterable(adj),
+                dtype=np.int64,
+                count=int(indptr[-1]),
+            )
+            # As row * n + neighbour keys, each row's entries sort within
+            # the row's own slots: one sort orders every row.
+            offsets = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
+            indices += offsets
+            indices.sort()
+            indices -= offsets
+            indptr.flags.writeable = False
+            indices.flags.writeable = False
+            csr = self._csr_cache = (indptr, indices)
+        return csr
 
     def edge_array(self) -> np.ndarray:
         """Canonical edges as an ``(m, 2)`` numpy array."""
@@ -296,13 +333,18 @@ class Graph:
         and the same canonical edge set — exactly the :meth:`__eq__`
         relation.  The digest is stable across processes and Python
         versions, which is what dynamic-graph snapshots
-        (:mod:`repro.dynamic.graph`) key their version store on.
+        (:mod:`repro.dynamic.graph`) key their version store on.  The
+        digest is memoised until the next mutation, so cache lookups on
+        an unchanged graph do not re-serialise it.
         """
-        h = hashlib.sha256()
-        h.update(f"graph/1 n={self._n}\n".encode())
-        for u, v in self.edges():
-            h.update(f"{u} {v}\n".encode())
-        return h.hexdigest()
+        digest = self._hash_cache
+        if digest is None:
+            h = hashlib.sha256()
+            h.update(f"graph/1 n={self._n}\n".encode())
+            for u, v in self.edges():
+                h.update(f"{u} {v}\n".encode())
+            digest = self._hash_cache = h.hexdigest()
+        return digest
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self._m})"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from repro.graphs import Graph, erdos_renyi_gnp
 
@@ -16,6 +17,17 @@ def random_graphs(count: int, n_lo: int = 5, n_hi: int = 12, seed: int = 0):
         p = float(rng.uniform(0.15, 0.55))
         out.append(erdos_renyi_gnp(n, p, seed=int(rng.integers(2**31))))
     return out
+
+
+@st.composite
+def graphs(draw, n_lo=0, n_hi=12):
+    """Hypothesis strategy: a simple graph on ``n_lo..n_hi`` vertices."""
+    n = draw(st.integers(n_lo, n_hi))
+    if n < 2:
+        return Graph(n)
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=24))
+    return Graph(n, edges)
 
 
 def assert_is_cycle(g: Graph, vertices, k: int) -> None:

@@ -15,8 +15,10 @@ from repro.congest import (
     SpreadIds,
     SynchronousScheduler,
 )
+from repro.congest import network as network_mod
+from repro.congest.node import NodeContext
 from repro.errors import BandwidthExceededError, CongestError, ProtocolError
-from repro.graphs import cycle_graph, path_graph, star_graph
+from repro.graphs import Graph, cycle_graph, erdos_renyi_gnm, path_graph, star_graph
 
 
 class EchoProgram(NodeProgram):
@@ -84,6 +86,58 @@ class TestNetwork:
         model = net.default_size_model()
         assert model.id_bits == 3  # identity IDs on 8 nodes -> 3 bits
         assert model.rank_bits == 6  # m = 8 -> ceil(log2(64))
+
+
+class TestLazyContexts:
+    """``Network.context`` builds each node's context on first use."""
+
+    @staticmethod
+    def _graph():
+        # A random part plus two isolated vertices.
+        g = erdos_renyi_gnm(30, 70, seed=4)
+        return Graph(32, g.edge_list())
+
+    @pytest.mark.parametrize(
+        "assigner",
+        [IdentityIds(), ReverseIds(), RandomPermutationIds(seed=9), SpreadIds()],
+        ids=["identity", "reverse", "random", "spread"],
+    )
+    def test_context_equals_eager_build(self, assigner):
+        g = self._graph()
+        net = Network(g, assigner)
+        ids = net.ids()
+        for v in g.vertices():
+            eager = NodeContext(
+                my_id=ids[v],
+                neighbor_ids=tuple(sorted(ids[w] for w in g.neighbors(v))),
+                n_hint=g.n,
+                m_hint=g.m,
+            )
+            assert net.context(v) == eager
+            assert net.context(v) is net.context(v)
+
+    def test_fast_runs_build_no_context(self, monkeypatch):
+        from repro.core import CkFreenessTester, detect_cycle_through_edge
+
+        built = []
+
+        def counting(**fields):
+            built.append(fields["my_id"])
+            return NodeContext(**fields)
+
+        monkeypatch.setattr(network_mod, "NodeContext", counting)
+        g = self._graph()
+        net = Network(g)
+        CkFreenessTester(5, 0.1, repetitions=3, engine="fast").run(
+            g, network=net, seed=1
+        )
+        detect_cycle_through_edge(g, g.edge_list()[0], 5, network=net,
+                                  engine="fast")
+        assert built == []
+        # The probe does see the reference scheduler's reads.
+        detect_cycle_through_edge(g, g.edge_list()[0], 5, network=net,
+                                  engine="reference")
+        assert sorted(built) == list(range(g.n))
 
 
 class TestSchedulerSemantics:

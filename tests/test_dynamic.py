@@ -155,6 +155,71 @@ class TestDynamicGraph:
         assert g.has_edge(0, 2)
 
 
+class TestCompactLog:
+    """The log is stored as integer columns and decoded on read."""
+
+    MIXED = [
+        Mutation(ADD_EDGE, 4, 0),
+        Mutation(ADD_VERTEX),
+        Mutation(ADD_EDGE, 5, 2),
+        Mutation(REMOVE_EDGE, 2, 1),
+        Mutation(ADD_VERTEX),
+        Mutation(REMOVE_EDGE, 0, 4),
+        Mutation(ADD_EDGE, 0, 6),
+        Mutation(REMOVE_EDGE, 5, 2),
+    ]
+
+    def test_mixed_stream_round_trips(self):
+        base = path_graph(5)
+        dyn = DynamicGraph(base)
+        canonical = dyn.apply_all(self.MIXED)
+        assert dyn.log == tuple(canonical)
+        assert dyn.log == tuple(m.canonical() for m in self.MIXED)
+        assert dyn.version == len(self.MIXED)
+        states = [base.copy()]
+        for mutation in self.MIXED:
+            state = states[-1].copy()
+            apply_mutation(state, mutation)
+            states.append(state)
+        for version, state in enumerate(states):
+            assert dyn.as_of(version) == state
+        twin = DynamicGraph.replay(base, dyn.log)
+        assert twin.log == dyn.log and twin.graph == dyn.graph
+        text = dumps_stream(dyn.log)
+        assert loads_stream(text) == list(dyn.log)
+        assert (
+            DynamicGraph.replay(base, loads_stream(text)).content_hash()
+            == dyn.content_hash()
+        )
+
+    def test_log_memory_per_mutation(self):
+        import tracemalloc
+
+        steps = 10_000  # two mutations each
+
+        def churn():
+            for i in range(steps):
+                u, v = 300 + i % 700, 1000 + (7 * i) % 1000
+                yield Mutation(ADD_EDGE, u, v)
+                yield Mutation(REMOVE_EDGE, v, u)
+
+        def grown(apply):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for mutation in churn():
+                    apply(mutation)
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        bare = Graph(2000)
+        dyn = DynamicGraph(Graph(2000))
+        net = grown(dyn.apply) - grown(lambda m: apply_mutation(bare, m))
+        assert dyn.version == 2 * steps
+        assert net / (2 * steps) < 64, f"{net / (2 * steps):.1f} B per mutation"
+
+
 class TestStreams:
     def test_registry_names(self):
         assert {"uniform-churn", "burst", "near-cycle", "growth"} <= set(

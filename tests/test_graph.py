@@ -1,6 +1,9 @@
 """Unit tests for the core Graph data structure."""
 
+import numpy as np
 import pytest
+from helpers import graphs
+from hypothesis import given, settings
 
 from repro.errors import GraphError
 from repro.graphs import Graph
@@ -184,6 +187,85 @@ class TestArrayExport:
             3, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
         assert (empty.n, empty.m) == (3, 0)
+
+
+def _per_vertex_csr(g):
+    """The per-vertex CSR export that the vectorised one replaced (oracle)."""
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    for u in range(g.n):
+        indptr[u + 1] = indptr[u] + g.degree(u)
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    for u in range(g.n):
+        indices[int(indptr[u]): int(indptr[u + 1])] = g.neighbors(u)
+    return indptr, indices
+
+
+def _assert_csr_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64
+        assert a.tolist() == b.tolist()
+
+
+class TestMemoisedViews:
+    """``to_csr`` and ``content_hash`` are kept until the next mutation."""
+
+    @staticmethod
+    def _assert_like_fresh(g):
+        fresh = Graph(g.n, g.edge_list())
+        _assert_csr_equal(g.to_csr(), fresh.to_csr())
+        assert g.content_hash() == fresh.content_hash()
+
+    def test_every_mutation_clears_the_memo(self):
+        g = Graph(4, [(0, 1), (1, 2)])
+        self._assert_like_fresh(g)
+        g.add_edge(3, 2)
+        self._assert_like_fresh(g)
+        g.remove_edge(1, 0)
+        self._assert_like_fresh(g)
+        assert g.add_vertex() == 4
+        self._assert_like_fresh(g)
+        g.add_edge(4, 0)
+        self._assert_like_fresh(g)
+
+    def test_memo_is_shared_between_mutations(self):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        csr = g.to_csr()
+        assert g.to_csr() is csr
+        assert g.content_hash() is g.content_hash()
+        g.add_edge(0, 4)
+        assert g.to_csr() is not csr
+        assert g.to_csr() is g.to_csr()
+
+    def test_exported_arrays_are_read_only(self):
+        indptr, indices = Graph(3, [(0, 1), (1, 2)]).to_csr()
+        with pytest.raises(ValueError):
+            indptr[0] = 1
+        with pytest.raises(ValueError):
+            indices[0] = 1
+
+    def test_empty_graph_and_isolated_vertices(self):
+        indptr, indices = Graph(0).to_csr()
+        assert indptr.tolist() == [0] and indices.tolist() == []
+        assert Graph(0).content_hash() == Graph(0, []).content_hash()
+        g = Graph(5, [(3, 1)])
+        indptr, indices = g.to_csr()
+        assert indptr.tolist() == [0, 0, 1, 1, 2, 2]
+        assert indices.tolist() == [3, 1]
+        self._assert_like_fresh(g)
+
+    def test_mutating_a_copy_leaves_the_original_memo(self):
+        g = Graph(4, [(0, 1), (1, 2)])
+        csr, digest = g.to_csr(), g.content_hash()
+        c = g.copy()
+        c.add_edge(2, 3)
+        self._assert_like_fresh(c)
+        assert g.to_csr() is csr and g.content_hash() == digest
+        assert csr[1].tolist() == [1, 0, 2, 1]
+
+    @settings(max_examples=120, deadline=None)
+    @given(g=graphs())
+    def test_to_csr_matches_per_vertex_oracle(self, g):
+        _assert_csr_equal(g.to_csr(), _per_vertex_csr(g))
 
 
 class TestValidation:

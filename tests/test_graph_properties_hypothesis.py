@@ -1,9 +1,9 @@
 """Hypothesis property tests on the graph substrate itself."""
 
+from helpers import graphs
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.graphs import Graph, dumps, loads
+from repro.graphs import dumps, loads
 from repro.graphs.properties import (
     bipartition,
     degree_histogram,
@@ -11,16 +11,6 @@ from repro.graphs.properties import (
     diameter,
     is_bipartite,
 )
-
-
-@st.composite
-def graphs(draw, n_lo=0, n_hi=12):
-    n = draw(st.integers(n_lo, n_hi))
-    if n < 2:
-        return Graph(n)
-    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=24))
-    return Graph(n, edges)
 
 
 class TestStructuralInvariants:
