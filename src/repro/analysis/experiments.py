@@ -225,17 +225,26 @@ def run_detection_rates(
 def run_phase1_statistics(
     *, ms: Sequence[int] = (4, 16, 64, 256, 1024), trials: int = 4000, seed: int = 0
 ) -> ExperimentResult:
-    """Lemma 5: P[all m ranks distinct] >= 1/e²; empirical check."""
-    rng = np.random.default_rng(seed)
+    """Lemma 5: P[all m ranks distinct] >= 1/e²; empirical check.
+
+    The empirical column draws the protocol's own ranks: per trial, one
+    repetition seed of the master ``seed`` (as the tester derives them)
+    and :func:`~repro.core.phase1.edge_ranks` over the ``m`` edges of a
+    path.
+    """
+    from ..core.phase1 import edge_ranks
+
+    rep_seeds = np.random.SeedSequence(seed).generate_state(trials).tolist()
     table = Table(
         ["m", "trials", "P[distinct] empirical", "exact", "lemma5 bound", "ok"],
         title="T4 - Lemma 5 rank-collision statistics",
     )
     result = ExperimentResult("T4", table=table)
     for m in ms:
+        a = np.arange(m, dtype=np.int64)
         hits = 0
-        for _ in range(trials):
-            ranks = rng.integers(1, m * m + 1, size=m)
+        for rep_seed in rep_seeds:
+            ranks = edge_ranks(rep_seed, a, a + 1, m)
             hits += int(len(np.unique(ranks)) == m)
         emp = hits / trials
         exact = exact_distinct_rank_probability(m)

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import analysis
 from .bench.cli import add_bench_subparser
-from .congest.engine import ENGINE_NAMES, parse_engine_spec
+from .congest.engine import ENGINE_NAMES
 from .congest.faults import build_fault_model
 from .core.algorithm1 import detect_cycle_through_edge
 from .core.tester import CkFreenessTester
@@ -43,46 +43,6 @@ __all__ = ["main", "build_parser"]
 #: Parameters handled by the subcommands themselves rather than the
 #: auto-generated per-family graph options.
 _RESERVED_PARAMS = ("k", "eps")
-
-
-def _engine_arg(value: str) -> str:
-    """argparse type for ``--engine``: a name or spec like 'fast:chunk=8'."""
-    from .errors import ConfigurationError
-
-    try:
-        parse_engine_spec(value)
-    except ConfigurationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _resolve_engine(args: argparse.Namespace) -> str:
-    """Combine ``--engine`` and ``--rep-chunk`` into one engine spec.
-
-    ``--rep-chunk C`` is sugar for the ``chunk=C`` option; giving it
-    alongside an engine that does not accept it (or a spec that already
-    pins a chunk size) is a configuration error.
-    """
-    from .errors import ConfigurationError
-
-    engine = getattr(args, "engine", "reference")
-    rep_chunk = getattr(args, "rep_chunk", None)
-    if rep_chunk is None:
-        return engine
-    name, opts = parse_engine_spec(engine)
-    if name == "reference":
-        raise ConfigurationError(
-            f"--rep-chunk only applies to the fast engine (got "
-            f"--engine {engine})"
-        )
-    if "rep_chunk" in opts:
-        raise ConfigurationError(
-            f"chunk size given twice: --engine {engine} and "
-            f"--rep-chunk {rep_chunk}"
-        )
-    spec = f"{engine}:chunk={rep_chunk}"
-    parse_engine_spec(spec)  # validates chunk >= 1
-    return spec
 
 
 def _build_graph(args: argparse.Namespace) -> Graph:
@@ -111,7 +71,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     g = _build_graph(args)
     tester = CkFreenessTester(
         args.k, args.eps, repetitions=args.repetitions,
-        engine=_resolve_engine(args),
+        engine=args.engine,
         faults=build_fault_model(args.faults, seed=args.seed),
     )
     result = tester.run(g, seed=args.seed)
@@ -125,7 +85,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     g = _build_graph(args)
     u, v = args.edge
     det = detect_cycle_through_edge(
-        g, (u, v), args.k, engine=_resolve_engine(args),
+        g, (u, v), args.k, engine=args.engine,
         faults=build_fault_model(args.faults, seed=args.seed),
     )
     print(f"k={args.k} edge=({u},{v}) detected={det.detected}")
@@ -211,7 +171,7 @@ def _replay_monitor(base: Graph, mutations, args: argparse.Namespace) -> int:
     from .dynamic import CkMonitor
 
     monitor = CkMonitor(
-        base, args.k, engine=_resolve_engine(args), epsilon=args.eps,
+        base, args.k, engine=args.engine, epsilon=args.eps,
         seed=args.seed,
         faults=build_fault_model(args.faults, seed=args.seed),
     )
@@ -411,15 +371,13 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
         params = _parse_params(args.params) or {"n": 40, "p": 0.1}
         graph = registry.build_graph(args.family, seed=args.seed, **params)
         profiler = PhaseProfiler()
-        engine = create_engine(
-            _resolve_engine(args), Network(graph), profiler=profiler
-        )
+        engine = create_engine(args.engine, Network(graph), profiler=profiler)
         seeds = [
             derive_seed(args.seed, "profile", rep)
             for rep in range(max(1, args.reps))
         ]
-        for _ in engine.iter_tester_chunk(args.k, seeds):
-            pass
+        for rep_seed in seeds:
+            engine.run_tester_repetition(args.k, rep_seed)
         doc = validate_profile(profiler.report(engine=engine.name))
         if args.out:
             profiler.write(args.out, engine=engine.name)
@@ -475,7 +433,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_sessions=args.max_sessions,
         request_timeout=args.request_timeout,
         debug=args.debug,
-        default_engine=_resolve_engine(args),
+        default_engine=args.engine,
     )
     # --telemetry installs the global before dispatch; hand it to the
     # server so wide events and spans land in the JSONL artifact.
@@ -515,7 +473,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         params=_parse_params(args.params) or LoadgenConfig().params,
         stream=args.stream,
         k=args.k,
-        engine=_resolve_engine(args),
+        engine=args.engine,
         seed=args.seed,
         batch=args.batch,
         verify_parity=not args.no_parity,
@@ -741,8 +699,7 @@ def _add_campaign_factor_args(p: argparse.ArgumentParser) -> None:
                    help=f"variants from: {', '.join(ALGORITHM_NAMES)}")
     p.add_argument("--engines", type=_csv(str), metavar="E1,E2,...",
                    help=f"scheduler backends to cross: "
-                   f"{', '.join(ENGINE_NAMES)} (fast accepts a chunk "
-                   "size, e.g. fast:chunk=8)")
+                   f"{', '.join(ENGINE_NAMES)}")
     p.add_argument("--streams", type=_optional_name, nargs="+",
                    metavar="SPEC",
                    help="stream scenarios to cross (temporal campaign), "
@@ -785,15 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
                            type=param.type, default=param.default,
                            help=param.help)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--engine", default="reference", type=_engine_arg,
-                       metavar="ENGINE",
-                       help=f"scheduler backend: {', '.join(ENGINE_NAMES)} "
-                       "(identical verdicts); fast accepts a chunk size, "
-                       "e.g. fast:chunk=8")
-        p.add_argument("--rep-chunk", type=int, default=None, metavar="C",
-                       help="tester repetitions per batched kernel pass "
-                       "for the fast engine (same as chunk=C in the "
-                       "engine spec)")
+        p.add_argument("--engine", default="reference", choices=ENGINE_NAMES,
+                       help="scheduler backend (identical verdicts)")
         p.add_argument("--faults", type=_optional_name, default=None,
                        metavar="SPEC",
                        help="fault model, e.g. drop:p=0.05 or "
@@ -857,10 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn_replay.add_argument("--k", type=int, required=True)
     p_dyn_replay.add_argument("--eps", type=float, default=0.1)
     p_dyn_replay.add_argument("--seed", type=int, default=0)
-    p_dyn_replay.add_argument("--engine", default="reference",
-                              type=_engine_arg, metavar="ENGINE")
-    p_dyn_replay.add_argument("--rep-chunk", type=int, default=None,
-                              metavar="C")
+    p_dyn_replay.add_argument("--engine", default="reference", choices=ENGINE_NAMES)
     p_dyn_replay.add_argument("--faults", type=_optional_name, default=None,
                               metavar="SPEC")
     p_dyn_replay.add_argument("--log", help="write per-step JSONL records")
@@ -961,11 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_profile.add_argument("--profile", default=None, metavar="PATH",
                                help="existing PROFILE.json to print "
                                "(skips the run)")
-    p_obs_profile.add_argument("--engine", default="fast", type=_engine_arg,
-                               metavar="ENGINE",
+    p_obs_profile.add_argument("--engine", default="fast", choices=ENGINE_NAMES,
                                help="engine to profile when generating")
-    p_obs_profile.add_argument("--rep-chunk", type=int, default=None,
-                               metavar="C")
     p_obs_profile.add_argument("--family", default="gnp",
                                help="base-graph generator family")
     p_obs_profile.add_argument("--params", default=None, metavar="K=V,...",
@@ -991,11 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--request-timeout", type=float, default=30.0,
                          help="per-request handler timeout (seconds)")
     p_serve.add_argument("--engine", default="reference",
-                         type=_engine_arg, metavar="ENGINE",
-                         help="default detection engine for new sessions "
-                         "(name or spec, e.g. fast:chunk=8)")
-    p_serve.add_argument("--rep-chunk", type=int, default=None, metavar="C",
-                         help="repetition chunk size for the fast engine")
+                         choices=ENGINE_NAMES,
+                         help="default detection engine for new sessions")
     p_serve.add_argument("--debug", action="store_true",
                          help="enable the /debug endpoints (tests only)")
     add_telemetry_arg(p_serve)
@@ -1013,9 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lg.add_argument("--stream", default="uniform-churn:steps=30,p=0.5",
                       metavar="SPEC", help="scenario spec per client")
     p_lg.add_argument("--k", type=int, default=5)
-    p_lg.add_argument("--engine", default="reference", type=_engine_arg,
-                      metavar="ENGINE")
-    p_lg.add_argument("--rep-chunk", type=int, default=None, metavar="C")
+    p_lg.add_argument("--engine", default="reference", choices=ENGINE_NAMES)
     p_lg.add_argument("--seed", type=int, default=0)
     p_lg.add_argument("--batch", type=int, default=1,
                       help="mutations per request")

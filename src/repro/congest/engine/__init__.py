@@ -7,7 +7,7 @@ One protocol, interchangeable backends (see
   per-message bit audit.  Always available.
 * ``fast`` — batched numpy execution over CSR adjacency arrays with an
   aggregate (per-sender) bit audit.  Requires numpy
-  (``pip install repro-cycles[fast]``) and node IDs below ``2**32``.
+  (``pip install repro-cycles[fast]``).
 
 Select a backend by name::
 
@@ -18,19 +18,16 @@ Select a backend by name::
 
 or end to end through ``CkFreenessTester(..., engine="fast")``,
 ``detect_cycle_through_edge(..., engine="fast")``, the CLI's
-``--engine`` flag, and the campaign runner's ``engines`` factor.  The
-fast backend additionally accepts a repetition chunk size for its
-batched tester kernel, spelled ``"fast:chunk=8"`` in any engine-name
-position (or ``--rep-chunk 8`` on the CLI); :func:`parse_engine_spec`
-is the one parser for that syntax.
+``--engine`` flag, and the campaign runner's ``engines`` factor.
 
-All backends are verdict-equivalent under fixed seeds; see
+All backends are verdict-equivalent under fixed seeds: both draw
+Phase-1 ranks from :func:`repro.core.phase1.edge_ranks`.  See
 ``docs/engines.md`` and :func:`repro.testing.engine_equivalence_report`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
 from ...errors import ConfigurationError, EngineUnavailableError
 from ..network import Network
@@ -51,7 +48,6 @@ __all__ = [
     "available_engines",
     "create_engine",
     "ensure_engine_available",
-    "parse_engine_spec",
     "validate_profile",
 ]
 
@@ -68,64 +64,18 @@ def _numpy_missing() -> str:
     return ""
 
 
-def parse_engine_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
-    """Split an engine spec string into ``(name, constructor_kwargs)``.
+def ensure_engine_available(name: str) -> None:
+    """Validate an engine name and this environment's ability to run it.
 
-    The grammar is ``reference`` | ``fast[:chunk=C]``: plain names pass
-    through with no options, and ``chunk=C`` is the repetition chunk
-    size of the fast engine's batched tester kernel — ``"fast:chunk=8"``
-    → ``("fast", {"rep_chunk": 8})``.
-
-    These spellings are accepted anywhere an engine name is (the CLI's
-    ``--engine``, the campaign ``engines`` factor, service session
-    specs).  Raises :class:`~repro.errors.ConfigurationError` for
-    unknown names, options on ``reference``, unknown or repeated
-    options, and non-positive or non-integer chunk sizes.
+    Raises :class:`~repro.errors.ConfigurationError` for names outside
+    :data:`ENGINE_NAMES` and
+    :class:`~repro.errors.EngineUnavailableError` when the backend's
+    dependencies are missing (e.g. ``fast`` without numpy).
     """
-    name, sep, opts = str(spec).partition(":")
     if name not in ENGINE_NAMES:
         raise ConfigurationError(
             f"unknown engine {name!r}; choose from {', '.join(ENGINE_NAMES)}"
         )
-    if not sep:
-        return name, {}
-    if name == "reference":
-        raise ConfigurationError(
-            f"engine 'reference' takes no options (got {spec!r}); "
-            "'fast' accepts chunk=C, e.g. 'fast:chunk=8'"
-        )
-    kwargs: Dict[str, Any] = {}
-    for item in opts.split(","):
-        key, eq, value = item.partition("=")
-        if key != "chunk" or not eq:
-            raise ConfigurationError(
-                f"unknown option {item!r} in engine spec {spec!r}; "
-                "supported: chunk=C, e.g. 'fast:chunk=8'"
-            )
-        if "rep_chunk" in kwargs:
-            raise ConfigurationError(f"chunk given twice in engine spec {spec!r}")
-        try:
-            chunk = int(value)
-        except ValueError:
-            raise ConfigurationError(
-                f"bad chunk size in engine spec {spec!r}; expected an "
-                "integer, e.g. 'fast:chunk=8'"
-            ) from None
-        if chunk < 1:
-            raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
-        kwargs["rep_chunk"] = chunk
-    return name, kwargs
-
-
-def ensure_engine_available(spec: str) -> None:
-    """Validate an engine spec and this environment's ability to run it.
-
-    Raises :class:`~repro.errors.ConfigurationError` for unknown names
-    or malformed specs and
-    :class:`~repro.errors.EngineUnavailableError` when the backend's
-    dependencies are missing (e.g. ``fast`` without numpy).
-    """
-    name, _ = parse_engine_spec(spec)
     if name == "fast":
         reason = _numpy_missing()
         if reason:
@@ -149,26 +99,15 @@ def available_engines() -> Tuple[str, ...]:
 
 
 def create_engine(spec: str, network: Network, **kwargs) -> CongestEngine:
-    """Instantiate the backend named by ``spec`` for ``network``.
+    """Instantiate the backend named ``spec`` for ``network``.
 
-    ``spec`` is an engine name or spec string (see
-    :func:`parse_engine_spec`); options embedded in the spec may not be
-    repeated in ``kwargs``.  ``kwargs`` are forwarded to the engine
-    constructor (``size_model``, ``strict_bandwidth``, ``faults`` — the
-    last only honoured by the reference backend — ``telemetry`` and
-    ``profiler`` (a :class:`PhaseProfiler` attributing wall time to
-    protocol phases), plus ``rep_chunk`` for the fast backend).
+    ``kwargs`` are forwarded to the engine constructor (``size_model``,
+    ``strict_bandwidth``, ``faults`` — the last only honoured by the
+    reference backend — ``telemetry`` and ``profiler``, a
+    :class:`PhaseProfiler` attributing wall time to protocol phases).
     """
     ensure_engine_available(spec)
-    name, opts = parse_engine_spec(spec)
-    for key in opts:
-        if key in kwargs:
-            raise ConfigurationError(
-                f"engine option {key!r} given both in the spec {spec!r} "
-                "and as a keyword argument"
-            )
-    kwargs = {**opts, **kwargs}
-    if name == "reference":
+    if spec == "reference":
         from .reference import ReferenceEngine
 
         return ReferenceEngine(network, **kwargs)

@@ -23,13 +23,16 @@ Two backends ship with the reproduction:
     (:mod:`repro.congest.engine.fast`): same verdicts, same round
     counts, same per-round aggregate audit, at array speed.
 
-Engines are constructed per network (so backends can compile/cach
+Engines are constructed per network (so backends can compile/cache
 topology) and are required to produce **bit-identical verdicts** for
 identical ``(network, k, seed)`` inputs — the contract is enforced by
 ``repro.testing.engine_equivalence_report`` and
-``tests/test_engines.py``.  New backends (async, GPU) plug in by
-subclassing :class:`CongestEngine` and registering a factory in
-:mod:`repro.congest.engine`.
+``tests/test_engines.py``.  Every backend draws its Phase-1 ranks from
+the one keyed function :func:`~repro.core.phase1.edge_ranks`, so the
+ranks agree by construction; the tester calls
+:meth:`CongestEngine.run_tester_repetition` once per repetition.  New
+backends (async, GPU) plug in by subclassing :class:`CongestEngine` and
+registering a factory in :mod:`repro.congest.engine`.
 """
 
 from __future__ import annotations
@@ -73,13 +76,6 @@ class CongestEngine(ABC):
         the shared zero-overhead :data:`~repro.congest.engine.profiler
         .NULL_PROFILER`.  Profiling never touches RNG state, so it
         shares telemetry's bit-identity guarantee.
-    rep_chunk:
-        Tester repetitions per batched kernel pass (spec spelling
-        ``chunk=C``, e.g. ``"fast:chunk=8"``).  Backends without batched
-        kernels accept and ignore it (this base class iterates
-        serially); backends with them must keep every chunk size
-        verdict-, trace- and telemetry-identical to serial execution —
-        see :meth:`iter_tester_chunk`.
     """
 
     #: Stable backend name (the value of ``--engine``).
@@ -94,14 +90,10 @@ class CongestEngine(ABC):
         faults=None,
         telemetry=None,
         profiler=None,
-        rep_chunk: int = 1,
     ) -> None:
         from ...obs import resolve_telemetry
         from .profiler import NULL_PROFILER
 
-        rep_chunk = int(rep_chunk)
-        if rep_chunk < 1:
-            raise ConfigurationError(f"rep_chunk must be >= 1, got {rep_chunk}")
         self._net = network
         self._size_model = (
             size_model if size_model is not None else network.default_size_model()
@@ -110,7 +102,6 @@ class CongestEngine(ABC):
         self._faults = faults
         self._telemetry = resolve_telemetry(telemetry)
         self._profiler = profiler if profiler is not None else NULL_PROFILER
-        self.rep_chunk = rep_chunk
 
     @property
     def network(self) -> Network:
@@ -133,7 +124,11 @@ class CongestEngine(ABC):
     ) -> RunResult:
         """One repetition of the tester: Phase-1 rank exchange, minimum
         selection, and the prioritized multiplexed Phase 2
-        (``1 + ⌊k/2⌋`` communication rounds)."""
+        (``1 + ⌊k/2⌋`` communication rounds).
+
+        This is the tester's engine entry point, called once per
+        repetition; a completed run exports its trace aggregates to
+        telemetry before it returns."""
 
     @abstractmethod
     def run_detect(
@@ -141,21 +136,6 @@ class CongestEngine(ABC):
     ) -> RunResult:
         """Algorithm 1 for a fixed edge, given as a pair of node IDs
         (``⌊k/2⌋`` communication rounds)."""
-
-    def iter_tester_chunk(self, k: int, rep_seeds, *, pruner=None):
-        """Lazily yield one :class:`RunResult` per seed in ``rep_seeds``.
-
-        This is the tester's engine entry point.  The base
-        implementation is the serial loop (one
-        :meth:`run_tester_repetition` per yield); backends with batched
-        kernels override it to compute :attr:`rep_chunk` repetitions per
-        kernel pass, **deferring each repetition's telemetry export to
-        its yield** so that a consumer stopping early (first reject)
-        leaves exactly the same exported aggregates as serial execution
-        — repetitions computed but never consumed export nothing.
-        """
-        for rep_seed in rep_seeds:
-            yield self.run_tester_repetition(k, int(rep_seed), pruner=pruner)
 
     # ------------------------------------------------------------------
     def _finish(self, run: RunResult) -> RunResult:

@@ -3,10 +3,10 @@
 Every :func:`~repro.congest.engine.create_engine` call re-compiles the
 network into the backend's execution form (CSR adjacency, half-edge
 tables).  Compilation is pure — it depends only on the graph's content,
-the engine spec and the bandwidth mode — so repeated detect/tester calls
+the engine name and the bandwidth mode — so repeated detect/tester calls
 against the *same* graph version can reuse one compiled instance.
 :class:`EngineCache` is that reuse point: a small LRU keyed by
-``(spec, strict_bandwidth, graph.content_hash())``.
+``(engine name, strict_bandwidth, graph.content_hash())``.
 
 Three properties keep cached execution bit-identical to uncached:
 
@@ -45,7 +45,7 @@ import numpy as np
 from ...errors import ConfigurationError
 from ...graphs.graph import Graph
 from ..network import Network
-from . import create_engine, parse_engine_spec
+from . import create_engine, ensure_engine_available
 from .base import CongestEngine
 
 __all__ = ["EngineCache", "global_engine_cache"]
@@ -94,7 +94,7 @@ class EngineCache:
         from ...obs import resolve_telemetry
         from .profiler import NULL_PROFILER
 
-        parse_engine_spec(spec)  # surface bad specs before hashing
+        ensure_engine_available(spec)  # surface bad names before hashing
         key = ("engine", str(spec), bool(strict_bandwidth), graph.content_hash())
         eng = self._entries.get(key)
         if eng is not None:

@@ -5,11 +5,11 @@ dict-of-dict inboxes message by message, this backend compiles the
 network once into CSR-style adjacency arrays and advances *all* nodes
 per round with vectorized array operations:
 
-* **Phase-1 rank draws** are replicated bit-exactly through
-  :mod:`repro.congest.engine.fastrng` (vectorized SeedSequence → PCG64 →
-  Lemire pipeline), so the fast engine consumes the exact random stream
-  the reference engine's per-node Generators would; an owner of many
-  edges draws from that very Generator (:func:`draw_owned_ranks`).
+* **Phase-1 rank draws** are one call of
+  :func:`~repro.core.phase1.edge_ranks` per repetition over the
+  canonical edge table — the very function each reference node calls
+  over its owned edges, so both engines draw the same ranks by
+  construction.
 * **Minimum-rank selection and the §3.1 priority rule** are segmented
   minima over CSR rows (:func:`segmented_min`): each node's current
   execution tag is a ``(rank, edge index)`` pair held in two int64
@@ -19,9 +19,6 @@ per round with vectorized array operations:
   (take the lexicographically smallest tag among your own and your
   sending neighbours') is two ``np.minimum.reduceat`` passes over the
   half-edge arrays: O(H) work, no sort.
-* **Repetitions run in chunks**: one kernel advances ``C`` repetitions
-  side by side over ``(C, …)`` stacks; a serial repetition is a chunk
-  of one.
 * **Sequence processing** (Instructions 10–27 and the final decision)
   holds each repetition's sequences as int64 ID pools — node ``v``'s
   are the rows ``ptr[v]:ptr[v + 1]`` of one ``(rows, t)`` matrix — so
@@ -50,14 +47,14 @@ The trace's per-round ``messages``/``total_bits``/``max_message_bits``/
 stress instances is asserted by ``repro.testing`` and the cross-engine
 grid test.
 
-Requirements: numpy, and node IDs below ``2**32`` (the standard
-polynomial-in-n ID space up to n = 65535).  Networks outside that range
-should use the reference engine.
+Requirements: numpy.  Node IDs are packed as their dense ranks, so the
+engine takes every ID space :class:`~repro.congest.network.Network`
+accepts (IDs below ``2**63``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -67,9 +64,8 @@ from ..message import SequenceBundle
 from ..network import Network
 from ..scheduler import RunResult
 from .base import CongestEngine
-from .fastrng import MAX_UINT32_ENTROPY, RankStreams
 
-__all__ = ["FastEngine", "draw_owned_ranks", "priority_mux", "segmented_min"]
+__all__ = ["FastEngine", "priority_mux", "segmented_min"]
 
 #: Sentinel rank (and edge index) for "no tag"; real ranks are in
 #: [1, m**2] and edge indices in [0, m).
@@ -77,60 +73,6 @@ _INF = np.int64(1) << np.int64(62)
 
 #: One round's sequences of one repetition (see ``FastEngine._pool``).
 Pool = Tuple[np.ndarray, np.ndarray]
-
-
-#: Owners with more owned edges than this draw from their own numpy
-#: Generator instead of the batched :class:`RankStreams` loop, whose
-#: every step costs one numpy pass however few streams still draw (a
-#: hub owning half the edges would otherwise take ~n/2 passes).
-_HEAVY_OWNER = 32
-
-
-def draw_owned_ranks(
-    rep_seeds: Sequence[int],
-    owner_ids: np.ndarray,
-    counts: np.ndarray,
-    offsets: np.ndarray,
-    hi: int,
-) -> np.ndarray:
-    """Phase-1 rank draws of a set of edge owners, one row per repetition.
-
-    Owner ``i`` (CONGEST ID ``owner_ids[i]``) draws ``counts[i]`` ranks
-    in ``[1, hi]``, stored from slot ``offsets[i]`` on.  Each
-    ``(repetition, owner)`` pair is an independent stream, so stacking
-    repetitions preserves every stream's draw order exactly.  Returns
-    ``(len(rep_seeds), counts.sum())``.
-    """
-    C = len(rep_seeds)
-    slots = int(counts.sum())
-    words = [int(s) & 0x7FFFFFFF for s in rep_seeds]
-    ranks = np.zeros((C, slots), dtype=np.int64)
-    heavy = counts > _HEAVY_OWNER
-    # A heavy owner's stream is the reference's own Generator; one
-    # ``integers(size=c)`` call consumes it exactly as c scalar draws.
-    for i in np.flatnonzero(heavy).tolist():
-        lo, c = int(offsets[i]), int(counts[i])
-        for r, word in enumerate(words):
-            seq = np.random.SeedSequence((word, int(owner_ids[i])))
-            gen = np.random.default_rng(seq)
-            ranks[r, lo: lo + c] = gen.integers(1, hi + 1, size=c)
-    light = np.flatnonzero(~heavy)
-    if not len(light):
-        return ranks
-    n_light = len(light)
-    streams = RankStreams(
-        np.repeat(np.asarray(words, dtype=np.uint64), n_light),
-        np.tile(owner_ids[light], C),
-    )
-    rep_counts = np.tile(counts[light], C)
-    rep_offsets = np.tile(offsets[light], C) + np.repeat(
-        np.arange(C, dtype=np.int64) * slots, n_light
-    )
-    flat = ranks.reshape(-1)
-    for j in range(int(counts[light].max())):
-        active = np.nonzero(rep_counts > j)[0]
-        flat[rep_offsets[active] + j] = streams.integers(active, 1, hi + 1)
-    return ranks
 
 
 def segmented_min(
@@ -143,31 +85,28 @@ def segmented_min(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row lexicographic minimum of ``(rank, edge)`` tags over CSR rows.
 
-    ``r`` is a ``(C, H)`` stack of candidate ranks — one row per
-    repetition — and ``e`` the candidates' edge indices (broadcastable
-    to ``r``), laid out in CSR order: segment ``i`` is columns
-    ``starts[i]`` up to ``starts[i + 1]`` (the last one up to ``H``) and
-    belongs to output row ``rows[i]``.  ``starts`` lists the non-empty
-    segments only and begins at 0; ``rows`` ascends.
+    ``r`` holds the ``H`` candidate ranks and ``e`` their edge indices,
+    laid out in CSR order: segment ``i`` is entries ``starts[i]`` up to
+    ``starts[i + 1]`` (the last one up to ``H``) and belongs to output
+    row ``rows[i]``.  ``starts`` lists the non-empty segments only and
+    begins at 0; ``rows`` ascends.
 
-    Each output row starts from its own tag ``(own_r, own_e)`` — two
-    ``(C, rows_out)`` arrays, the sentinel ``_INF`` meaning "no tag" —
-    and returns the smallest rank among it and its segment, then the
-    smallest edge among the tags tying that rank.  Rows outside
-    ``rows`` keep their own tag.  Two ``np.minimum.reduceat`` passes:
-    O(C·H) work, no sort.
+    Each output row starts from its own tag ``(own_r, own_e)`` — the
+    sentinel ``_INF`` meaning "no tag" — and returns the smallest rank
+    among it and its segment, then the smallest edge among the tags
+    tying that rank.  Rows outside ``rows`` keep their own tag.  Two
+    ``np.minimum.reduceat`` passes: O(H) work, no sort.
     """
     best_r = own_r.copy()
     best_e = own_e.copy()
     if not len(rows):
         return best_r, best_e
-    mine_r, mine_e = best_r[:, rows], best_e[:, rows]
-    min_r = np.minimum(np.minimum.reduceat(r, starts, axis=1), mine_r)
-    lens = np.diff(starts, append=r.shape[1])
-    tie = r == np.repeat(min_r, lens, axis=1)
-    min_e = np.minimum.reduceat(np.where(tie, e, _INF), starts, axis=1)
-    best_r[:, rows] = min_r
-    best_e[:, rows] = np.where(mine_r == min_r, np.minimum(min_e, mine_e), min_e)
+    mine_r, mine_e = best_r[rows], best_e[rows]
+    min_r = np.minimum(np.minimum.reduceat(r, starts), mine_r)
+    tie = r == np.repeat(min_r, np.diff(starts, append=len(r)))
+    min_e = np.minimum.reduceat(np.where(tie, e, _INF), starts)
+    best_r[rows] = min_r
+    best_e[rows] = np.where(mine_r == min_r, np.minimum(min_e, mine_e), min_e)
     return best_r, best_e
 
 
@@ -182,18 +121,17 @@ def priority_mux(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The §3.1 priority rule for every receiver, vectorized.
 
-    ``R``/``E``/``sending`` are ``(C, n)`` stacks of every node's
-    current tag and send flag; ``he_src``/``he_dst`` are the half-edges
-    in CSR order, and ``starts``/``rows`` their non-empty segments as
-    :func:`segmented_min` takes them.  Returns the winning tags
-    ``(C, n)`` — each node's lexicographic minimum of its own tag and
-    its sending neighbours' — and a ``(C, half_edges)`` mask of the
-    messages that survive the rule (sender's tag equals the receiver's
-    winner).
+    ``R``/``E``/``sending`` are every node's current tag and send flag;
+    ``he_src``/``he_dst`` are the half-edges in CSR order, and
+    ``starts``/``rows`` their non-empty segments as
+    :func:`segmented_min` takes them.  Returns the winning tags — each
+    node's lexicographic minimum of its own tag and its sending
+    neighbours' — and a per-half-edge mask of the messages that survive
+    the rule (sender's tag equals the receiver's winner).
     """
-    send_mask = sending[:, he_dst]
-    nb_r = R[:, he_dst]
-    nb_e = E[:, he_dst]
+    send_mask = sending[he_dst]
+    nb_r = R[he_dst]
+    nb_e = E[he_dst]
     best_r, best_e = segmented_min(
         np.where(send_mask, nb_r, _INF),
         np.where(send_mask, nb_e, _INF),
@@ -202,7 +140,7 @@ def priority_mux(
         R,
         E,
     )
-    matches = send_mask & (nb_r == best_r[:, he_src]) & (nb_e == best_e[:, he_src])
+    matches = send_mask & (nb_r == best_r[he_src]) & (nb_e == best_e[he_src])
     return best_r, best_e, matches
 
 
@@ -221,11 +159,6 @@ class FastEngine(CongestEngine):
             )
         g = network.graph
         ids = np.asarray(network.ids(), dtype=np.int64)
-        if ids.size and int(ids.max()) >= MAX_UINT32_ENTROPY:
-            raise CongestError(
-                "fast engine requires node IDs < 2**32; "
-                "use the reference engine for larger ID spaces"
-            )
         self._ids = ids
         self._id_list: List[int] = ids.tolist()
         indptr, indices = g.to_csr()
@@ -242,37 +175,41 @@ class FastEngine(CongestEngine):
         # priority rule's segmented minima reduce over.
         self._rows = np.nonzero(degrees > 0)[0]
         self._row_starts = indptr[self._rows]
-        src_id = ids[he_src]
-        dst_id = ids[indices]
-        a = np.minimum(src_id, dst_id)
-        b = np.maximum(src_id, dst_id)
-        # Canonical edge index per half-edge (IDs fit 32 bits: pack
-        # exactly).  np.unique sorts, so edge order is (a, b) order.
-        packed = (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
-        uniq, edge_of_he = np.unique(packed, return_inverse=True)
-        if len(uniq) != g.m:  # pragma: no cover - Graph guarantees simple
+        # Dense ID ranks order vertices as their IDs do, and pack into
+        # int64 keys whatever the ID space (n**2 < 2**63).
+        _, id_rank = np.unique(ids, return_inverse=True)
+        src_rank = id_rank[he_src]
+        dst_rank = id_rank[indices]
+        # The canonical edge table, in (smaller ID, larger ID) order.
+        # Both half-edges of an edge share its key, and each edge has one
+        # owned half-edge (src ID < dst ID) and one other, so sorting
+        # each half by key lists the edges in the same order.
+        key = np.minimum(src_rank, dst_rank) * n + np.maximum(src_rank, dst_rank)
+        owned = src_rank < dst_rank
+
+        def in_edge_order(half: np.ndarray) -> np.ndarray:
+            he = np.flatnonzero(half)
+            return he[np.argsort(key[he])]
+
+        mine, theirs = in_edge_order(owned), in_edge_order(~owned)
+        if not len(mine) == len(theirs) == g.m:  # pragma: no cover
             raise CongestError("inconsistent edge count in CSR compile")
+        edge_of_he = np.empty(len(indices), dtype=np.int64)
+        edge_of_he[mine] = edge_of_he[theirs] = np.arange(g.m)
         self._edge_of_he = edge_of_he
+        # The edge table's endpoint IDs: the rank draws' keys.
+        self._edge_a = ids[he_src[mine]]
+        self._edge_b = ids[indices[mine]]
         # Half-edges by (receiving vertex, sender ID), packed like the
-        # edge table (vertex indices and IDs both fit 32 bits; keys are
-        # unique).  This is the order of the round-2 seeds each node
-        # receives and, restricted to owned half-edges (src ID < dst ID),
-        # the reference Phase-1 draw order: by owner, then neighbour ID.
-        by_key = (he_src.astype(np.uint64) << np.uint64(32)) | dst_id.astype(
-            np.uint64
+        # edge table (keys are unique).  This is the order of the
+        # round-2 seeds each node receives.
+        self._he_by_id = np.argsort(he_src * n + dst_rank)
+        # Reference rank outboxes go out by owner vertex, each in
+        # ascending neighbour-ID order: the round-1 audit's first
+        # delivery is the first owned half-edge in that order.
+        self._first_owned_he = (
+            int(self._he_by_id[np.argmax(owned[self._he_by_id])]) if g.m else -1
         )
-        self._he_by_id = np.argsort(by_key)
-        self._owned_he = self._he_by_id[
-            src_id[self._he_by_id] < dst_id[self._he_by_id]
-        ]
-        owner_of_owned = he_src[self._owned_he]
-        owners, counts = np.unique(owner_of_owned, return_counts=True)
-        self._owners = owners
-        self._owner_counts = counts
-        # Slot offsets of each owner's first draw in self._owned_he order.
-        self._owner_offsets = np.concatenate(
-            ([0], np.cumsum(counts[:-1]))
-        ) if len(counts) else np.zeros(0, dtype=np.int64)
         # Audit constants (computed through the public SizeModel API so the
         # aggregate audit charges exactly what per-message observe() would).
         model = self._size_model
@@ -300,8 +237,7 @@ class FastEngine(CongestEngine):
             for arr in (
                 self._ids, self._indptr, self._indices, self._degrees,
                 self._rows, self._row_starts, self._he_src, self._he_dst,
-                self._edge_of_he, self._he_by_id, self._owned_he, self._owners,
-                self._owner_counts, self._owner_offsets,
+                self._edge_of_he, self._edge_a, self._edge_b, self._he_by_id,
             )
         )
 
@@ -447,9 +383,9 @@ class FastEngine(CongestEngine):
     @staticmethod
     def _first_id_range(pool: Pool) -> Tuple[np.ndarray, np.ndarray]:
         """Per node, the smallest and largest first ID of its sequences
-        (``_INF`` and ``-1`` for a node holding none)."""
+        (the int64 maximum and ``-1`` for a node holding none)."""
         mat, ptr = pool
-        lo = np.full(len(ptr) - 1, _INF)
+        lo = np.full(len(ptr) - 1, np.iinfo(np.int64).max)
         hi = np.full(len(ptr) - 1, -1, dtype=np.int64)
         nodes = np.flatnonzero(np.diff(ptr))
         if len(nodes):
@@ -495,58 +431,50 @@ class FastEngine(CongestEngine):
     # ------------------------------------------------------------------
     # Phase 1: rank draws
     # ------------------------------------------------------------------
-    def _draw_edge_ranks(self, rep_seeds: List[int]) -> np.ndarray:
-        """Per-edge Phase-1 ranks, one row per repetition (row ``r`` is
-        bit-identical to the reference draws under ``rep_seeds[r]``)."""
+    def _draw_edge_ranks(self, rep_seed: int) -> np.ndarray:
+        """Per-edge Phase-1 ranks under ``rep_seed``, in edge-table order
+        (each one the reference owner's draw for that edge)."""
+        from ...core.phase1 import edge_ranks
+
         m = self._net.graph.m
-        edge_rank = np.zeros((len(rep_seeds), m), dtype=np.int64)
-        if len(self._owners):
-            edge_rank[:, self._edge_of_he[self._owned_he]] = draw_owned_ranks(
-                rep_seeds,
-                self._ids[self._owners],
-                self._owner_counts,
-                self._owner_offsets,
-                m * m,
-            )
-        return edge_rank
+        if not m:
+            return np.zeros(0, dtype=np.int64)
+        return edge_ranks(rep_seed, self._edge_a, self._edge_b, m)
 
     def _record_rank_round(self, trace: ExecutionTrace) -> None:
         """Audit round 1: every owned edge's rank crosses it once."""
         stats = self._begin_round(trace, 1)
-        if not len(self._owners):
+        h = self._first_owned_he
+        if h < 0:
             return
         m = self._net.graph.m
         bits = self._bits_rank_msg
         stats.messages = m
         stats.total_bits = bits * m
         stats.max_message_bits = bits
-        # Rank outboxes insert in ascending neighbour-ID order, so the
-        # first delivery is the first owner's smallest owned neighbour.
-        first_he = int(self._owned_he[0])
         stats.max_edge = (
-            self._id_list[int(self._owners[0])],
-            self._id_list[int(self._he_dst[first_he])],
+            self._id_list[int(self._he_src[h])],
+            self._id_list[int(self._he_dst[h])],
         )
         if self._strict and bits > self._budget:
             raise BandwidthExceededError(1, stats.max_edge, bits, self._budget)
 
     # ------------------------------------------------------------------
-    # The tester kernel
+    # Engine entry points
     # ------------------------------------------------------------------
-    def _run_tester_chunk(self, k: int, rep_seeds: List[int], pruner) -> list:
-        """Run ``len(rep_seeds)`` repetitions side by side; returns
-        per-repetition :class:`RunResult` objects **without** exporting
-        their traces (callers export on yield, so early exit exports
-        exactly what serial execution would).
+    def run_tester_repetition(
+        self, k: int, rep_seed: int, *, pruner=None
+    ) -> RunResult:
+        """One tester repetition, verdict-identical to the reference
+        engine under the same ``rep_seed``.
 
         The rank draws, round-2 selection and every round's priority
-        rule run once per chunk over ``(repetitions, …)`` stacks; each
-        repetition's sequences are int64 ID pools, so the gather, the
-        round-2 sends and the decision prefilter are array passes.  Only
-        the pruner at rounds ``t >= 3`` (or any round, for a pruner
-        other than :class:`~repro.core.pruning.HittingSetPruner`) and the
-        evidence search at nodes that can still reject run per node.  A
-        serial repetition is a chunk of one.
+        rule are array passes over the compiled half-edges; the
+        sequences are int64 ID pools, so the gather, the round-2 sends
+        and the decision prefilter are array passes too.  Only the
+        pruner at rounds ``t >= 3`` (or any round, for a pruner other
+        than :class:`~repro.core.pruning.HittingSetPruner`) and the
+        evidence search at nodes that can still reject run per node.
         """
         from ...core.algorithm1 import DetectionOutcome
         from ...core.phase1 import protocol_rounds
@@ -557,127 +485,85 @@ class FastEngine(CongestEngine):
         prof = self._profiler
         g = self._net.graph
         n = g.n
-        C = len(rep_seeds)
         he_src, he_dst = self._he_src, self._he_dst
         starts, rows = self._row_starts, self._rows
-        traces = [
-            ExecutionTrace(n=n, m=g.m, size_model=self._size_model)
-            for _ in range(C)
-        ]
+        trace = ExecutionTrace(n=n, m=g.m, size_model=self._size_model)
 
-        # Round 1 — rank draws, batched across the whole chunk.
+        # Round 1 — every owner ships its edges' ranks.
         with prof.phase("rank_draws"):
-            edge_rank = self._draw_edge_ranks(rep_seeds)
-        for trace in traces:
-            self._record_rank_round(trace)
+            edge_rank = self._draw_edge_ranks(rep_seed)
+        self._record_rank_round(trace)
 
         # Round 2 — per-node minimum incident tag; every non-isolated
         # node broadcasts its seed sequence under it.
         with prof.phase("min_select"):
-            no_tag = np.full((C, n), _INF, dtype=np.int64)
+            no_tag = np.full(n, _INF, dtype=np.int64)
             R, E = segmented_min(
-                edge_rank[:, self._edge_of_he],
-                self._edge_of_he[None, :],
+                edge_rank[self._edge_of_he],
+                self._edge_of_he,
                 starts,
                 rows,
                 no_tag,
                 no_tag,
             )
-        sending = np.broadcast_to(self._degrees > 0, (C, n)).copy()
-        seeds = self._pool(self._ids[rows][:, None], sending[0].astype(np.int64))
-        pools = [seeds] * C
+        sending = self._degrees > 0
+        pool = self._pool(self._ids[rows][:, None], sending.astype(np.int64))
         seed_bits = self._bundle_bits(1, 1, tagged=True)
         with prof.phase("audit_fold"):
-            for trace in traces:
-                self._record_broadcasts(
-                    self._begin_round(trace, 2),
-                    2,
-                    rows,
-                    np.full(len(rows), seed_bits, dtype=np.int64),
-                    np.ones(len(rows), dtype=np.int64),
-                )
+            self._record_broadcasts(
+                self._begin_round(trace, 2),
+                2,
+                rows,
+                np.full(len(rows), seed_bits, dtype=np.int64),
+                np.ones(len(rows), dtype=np.int64),
+            )
         closed_form = type(pruner) is HittingSetPruner
 
         # Rounds 3..1+⌊k/2⌋ — prioritized multiplexed Phase 2.
         for t in range(2, k // 2 + 1):
             with prof.phase("priority_mux"):
-                R, E, match_mask = priority_mux(
+                R, E, matched = priority_mux(
                     R, E, sending, he_src, he_dst, starts, rows
                 )
-            sending = np.zeros((C, n), dtype=bool)
+            if t == 2 and closed_form:
+                with prof.phase("round_apply"):
+                    pool = self._seed_round(matched, k)
+            else:
+                with prof.phase("priority_mux"):
+                    recv = self._gather(matched, pool)
+                with prof.phase("round_apply"):
+                    pool = self._apply_round(recv, k, t, pruner)
+            counts = np.diff(pool[1])
+            sending = counts > 0
+            senders = np.flatnonzero(sending)
             per_seq = self._seq_bits(t)
-            for r in range(C):
-                if t == 2 and closed_form:
-                    with prof.phase("round_apply"):
-                        pools[r] = self._seed_round(match_mask[r], k)
-                else:
-                    with prof.phase("priority_mux"):
-                        recv = self._gather(match_mask[r], pools[r])
-                    with prof.phase("round_apply"):
-                        pools[r] = self._apply_round(recv, k, t, pruner)
-                counts = np.diff(pools[r][1])
-                senders = np.flatnonzero(counts)
-                sending[r, senders] = True
-                with prof.phase("audit_fold"):
-                    self._record_broadcasts(
-                        self._begin_round(traces[r], t + 1),
-                        t + 1,
-                        senders,
-                        self._bits_tagged_overhead + counts[senders] * per_seq,
-                        counts[senders],
-                    )
+            with prof.phase("audit_fold"):
+                self._record_broadcasts(
+                    self._begin_round(trace, t + 1),
+                    t + 1,
+                    senders,
+                    self._bits_tagged_overhead + counts[senders] * per_seq,
+                    counts[senders],
+                )
 
         # Final decision (no further communication round).  At this
-        # point pools / (R, E) hold the final round's sends and the tags
+        # point pool / (R, E) hold the final round's sends and the tags
         # they were sent under.
         with prof.phase("priority_mux"):
-            bestR, bestE, match_mask = priority_mux(
+            best_r, best_e, matched = priority_mux(
                 R, E, sending, he_src, he_dst, starts, rows
             )
+            recv = self._gather(matched, pool)
         # Nodes whose winning tag moved off the one they last sent under.
-        switched = (R != bestR) | (E != bestE)
+        switched = (R != best_r) | (E != best_e)
+        with prof.phase("decision"):
+            found = self._decide(k, recv, pool, switched)
         accept = DetectionOutcome(rejects=False)
-        runs = []
-        for r in range(C):
-            with prof.phase("priority_mux"):
-                recv = self._gather(match_mask[r], pools[r])
-            with prof.phase("decision"):
-                found = self._decide(k, recv, pools[r], switched[r])
-            outputs = dict.fromkeys(range(n), accept)
-            for v, cycle in found.items():
-                outputs[v] = DetectionOutcome(rejects=True, cycle=cycle)
-            assert traces[r].num_rounds == protocol_rounds(k)
-            runs.append(RunResult(outputs, traces[r]))
-        return runs
-
-    # ------------------------------------------------------------------
-    # Engine entry points
-    # ------------------------------------------------------------------
-    def run_tester_repetition(
-        self, k: int, rep_seed: int, *, pruner=None
-    ) -> RunResult:
-        """One tester repetition: the batched kernel on a chunk of one
-        seed.  Verdict-identical to the reference engine under the same
-        ``rep_seed``."""
-        (run,) = self._run_tester_chunk(k, [int(rep_seed)], pruner)
-        return self._finish(run)
-
-    def iter_tester_chunk(self, k: int, rep_seeds, *, pruner=None):
-        """Chunked tester iteration: :attr:`rep_chunk` repetitions per
-        kernel pass, each repetition's telemetry export deferred to its
-        yield.  Chunk size 1 and strict-bandwidth audits take the base
-        loop of :meth:`run_tester_repetition` calls (a strict raise must
-        happen in execution order).
-        """
-        if self.rep_chunk <= 1 or self._strict:
-            yield from super().iter_tester_chunk(k, rep_seeds, pruner=pruner)
-            return
-        seeds = [int(s) for s in rep_seeds]
-        for i in range(0, len(seeds), self.rep_chunk):
-            for run in self._run_tester_chunk(
-                k, seeds[i: i + self.rep_chunk], pruner
-            ):
-                yield self._finish(run)
+        outputs = dict.fromkeys(range(n), accept)
+        for v, cycle in found.items():
+            outputs[v] = DetectionOutcome(rejects=True, cycle=cycle)
+        assert trace.num_rounds == protocol_rounds(k)
+        return self._finish(RunResult(outputs, trace))
 
     # ------------------------------------------------------------------
     def run_detect(

@@ -17,6 +17,9 @@ from .node import NodeContext
 
 __all__ = ["Network"]
 
+#: IDs are int64 values in the array engine and its rank keys.
+_MAX_ID = 1 << 63
+
 
 class Network:
     """An n-node CONGEST network over an undirected simple graph.
@@ -28,7 +31,8 @@ class Network:
         disconnected ones (useful in tests) since the algorithms are
         oblivious to it.
     id_assigner:
-        Strategy mapping vertex indices to CONGEST IDs.
+        Strategy mapping vertex indices to CONGEST IDs: ``n`` distinct
+        integers in ``[0, 2**63)``, else :class:`~repro.errors.CongestError`.
     """
 
     def __init__(
@@ -41,8 +45,10 @@ class Network:
         ids = assigner.assign(graph.n)
         if len(ids) != graph.n or len(set(ids)) != graph.n:
             raise CongestError("ID assignment must give n distinct IDs")
-        if any(i < 0 for i in ids):
+        if ids and min(ids) < 0:
             raise CongestError("IDs must be non-negative")
+        if ids and max(ids) >= _MAX_ID:
+            raise CongestError("IDs must be below 2**63")
         self._ids: List[int] = ids
         self._index_of: Dict[int, int] = {nid: v for v, nid in enumerate(ids)}
         self._id_space = assigner.id_space(graph.n)

@@ -9,6 +9,12 @@ edge.  Concurrent executions share the network under the priority rule:
     of; higher-rank messages are discarded, lower-rank messages cause the
     node to switch.
 
+Every rank is one keyed function of (repetition seed, smaller ID, larger
+ID) — :func:`edge_ranks`, a counter-based draw in the style of Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11).  The owner
+computes it alone, and both engines call the same function, so rank
+equality across engines holds by construction.
+
 Ties are broken by the (sorted) edge-ID pair, as the paper suggests.
 The rule guarantees that when the globally minimal rank is unique, that
 edge's Phase-2 execution proceeds exactly as if it ran alone — which is
@@ -42,7 +48,9 @@ from .sequences import sort_sequences
 
 __all__ = [
     "MultiplexedCkProgram",
+    "RANK_SCHEME",
     "draw_ranks",
+    "edge_ranks",
     "protocol_rounds",
     "RankDraw",
 ]
@@ -63,24 +71,78 @@ class RankDraw:
     rank: int
 
 
+#: Name of the rank scheme :func:`edge_ranks` implements.  Seeded
+#: verdicts, evidence and Phase-2 counts depend on it, so campaign
+#: records carry it and a store never mixes two schemes.
+RANK_SCHEME = "splitmix64-v1"
+
+#: Ranks must stay below the fast engine's ``2**62`` "no tag" sentinel,
+#: so ``m**2 < 2**62``.
+_MAX_EDGES = 1 << 31
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """One SplitMix64 step over a uint64 array (wraps mod ``2**64``)."""
+    x = x + _GAMMA
+    x = (x ^ (x >> _S30)) * _MUL1
+    x = (x ^ (x >> _S27)) * _MUL2
+    return x ^ (x >> _S31)
+
+
+def edge_ranks(rep_seed: int, a_ids, b_ids, m: int) -> np.ndarray:
+    """Phase-1 ranks of the edges ``(a_ids[i], b_ids[i])``, uniform on
+    ``[1, m²]``.
+
+    ``a_ids`` holds each edge's smaller endpoint ID and ``b_ids`` its
+    larger one.  The rank is the SplitMix64 step applied to the
+    repetition seed (taken mod ``2**64``), then after XOR-ing in the
+    smaller ID, then after XOR-ing in the larger ID, reduced mod ``m²``
+    and shifted by one.  It is a pure function of
+    ``(rep_seed, a, b, m)``: independent across edges and repetitions
+    for the purposes of Lemma 5, and computable by the owner alone.
+    The reduction's bias is below ``m² / 2**64``.
+
+    Returns an int64 array.  Raises
+    :class:`~repro.errors.ConfigurationError` unless
+    ``1 <= m < 2**31``.
+    """
+    m = int(m)
+    if m < 1:
+        raise ConfigurationError("network must have at least one edge")
+    if m >= _MAX_EDGES:
+        raise ConfigurationError(
+            f"rank draws support m < 2**31 edges (got m={m}): ranks in "
+            "[1, m**2] must stay below 2**62"
+        )
+    # Array arithmetic throughout: numpy warns when a uint64 scalar wraps.
+    h = _splitmix64(np.array([int(rep_seed) & _MASK64], dtype=np.uint64))
+    h = _splitmix64(h ^ np.asarray(a_ids, dtype=np.uint64))
+    h = _splitmix64(h ^ np.asarray(b_ids, dtype=np.uint64))
+    return (h % np.uint64(m * m)).astype(np.int64) + 1
+
+
 def draw_ranks(
-    my_id: int, neighbor_ids: Tuple[int, ...], m: int, rng: np.random.Generator
+    my_id: int, neighbor_ids: Tuple[int, ...], m: int, rep_seed: int
 ) -> List[RankDraw]:
-    """Draw ranks for edges assigned to this node (those whose other
+    """Ranks of the edges assigned to this node (those whose other
     endpoint has a larger ID), in ascending neighbour order.
 
     Ranks are uniform on ``[1, m²]`` — O(log n) random bits per edge, as
-    the paper notes.
+    the paper notes — and come from :func:`edge_ranks` under
+    ``rep_seed``.
     """
-    if m < 1:
-        raise ConfigurationError("network must have at least one edge")
-    hi = m * m
-    draws = []
-    for nb in sorted(neighbor_ids):
-        if my_id < nb:
-            rank = int(rng.integers(1, hi + 1))
-            draws.append(RankDraw(edge=(my_id, nb), rank=rank))
-    return draws
+    owned = sorted(nb for nb in neighbor_ids if my_id < nb)
+    ranks = edge_ranks(rep_seed, [my_id] * len(owned), owned, m)
+    return [
+        RankDraw(edge=(my_id, nb), rank=rank)
+        for nb, rank in zip(owned, ranks.tolist())
+    ]
 
 
 class MultiplexedCkProgram(NodeProgram):
@@ -93,9 +155,8 @@ class MultiplexedCkProgram(NodeProgram):
     k:
         Cycle length.
     master_seed:
-        Seed for the repetition; each node derives an independent stream
-        via ``SeedSequence((master_seed, my_id))`` so that runs are
-        reproducible yet node draws are i.i.d.
+        Seed for the repetition; the node's ranks are
+        :func:`edge_ranks` of its owned edges under it.
     pruner:
         Pruning strategy (default: :class:`HittingSetPruner`).
     """
@@ -111,9 +172,7 @@ class MultiplexedCkProgram(NodeProgram):
             raise ConfigurationError(f"k must be >= 3, got {k}")
         self._k = k
         self._pruner = pruner if pruner is not None else HittingSetPruner()
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence((int(master_seed) & 0x7FFFFFFF, ctx.my_id))
-        )
+        self._rep_seed = int(master_seed)
         self._own_draws: Dict[Tuple[int, int], int] = {}
         self._tag: Optional[Tag] = None
         self._last_sent: List[IdSequence] = []
@@ -126,7 +185,7 @@ class MultiplexedCkProgram(NodeProgram):
         """Round 1: draw and ship ranks for the owned edges."""
         if ctx.degree == 0:
             return None
-        draws = draw_ranks(ctx.my_id, ctx.neighbor_ids, ctx.m_hint, self._rng)
+        draws = draw_ranks(ctx.my_id, ctx.neighbor_ids, ctx.m_hint, self._rep_seed)
         outbox: Dict[int, int] = {}
         for d in draws:
             self._own_draws[d.edge] = d.rank

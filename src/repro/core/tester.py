@@ -13,7 +13,9 @@ Semantics reproduced exactly:
   in n.
 
 Repetitions are sequential protocol restarts with fresh randomness, as in
-the paper ("we repeat the whole process").
+the paper ("we repeat the whole process"): one
+:meth:`~repro.congest.engine.CongestEngine.run_tester_repetition` call
+each, under its own child seed of the master seed.
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ class CkFreenessTester:
         CONGEST bit budget.
     engine:
         Scheduler backend: ``"reference"`` (per-node simulation) or
-        ``"fast"`` (batched numpy; accepts a chunk size, e.g.
-        ``"fast:chunk=8"``); see :mod:`repro.congest.engine`.  Both
-        produce identical verdicts under a fixed seed.
+        ``"fast"`` (batched numpy); see :mod:`repro.congest.engine`.
+        Both produce identical verdicts under a fixed seed.
     faults:
         Optional :class:`~repro.congest.faults.FaultModel`: run every
         repetition over unreliable links (reference engine only).
@@ -123,7 +124,9 @@ class CkFreenessTester:
         ----------
         seed:
             Master seed; repetition ``i`` uses an independent child seed,
-            and each node derives its stream from ``(rep_seed, node_id)``.
+            and every edge's rank is
+            :func:`~repro.core.phase1.edge_ranks` of
+            ``(rep_seed, smaller ID, larger ID)``.
         stop_on_reject:
             Stop after the first rejecting repetition (the verdict is
             already determined; the remaining repetitions cannot flip it).
@@ -167,16 +170,10 @@ class CkFreenessTester:
             rounds_per_repetition=rounds_per_repetition(self.k),
         )
         with telemetry.span("tester.run", k=self.k, engine=self.engine):
-            # Engines batch repetitions in verdict-identical chunks (the
-            # ``chunk=C`` spec option); the generator defers each
-            # repetition's telemetry export to its yield, so breaking on
-            # the first reject leaves serial-identical aggregates.
-            runs = eng.iter_tester_chunk(
-                self.k,
-                [int(rep_seeds[i]) for i in range(self.repetitions)],
-                pruner=self._pruner,
-            )
-            for i, run in enumerate(runs):
+            for i in range(self.repetitions):
+                run = eng.run_tester_repetition(
+                    self.k, int(rep_seeds[i]), pruner=self._pruner
+                )
                 rejecting = tuple(
                     v
                     for v, out in run.outputs.items()

@@ -31,6 +31,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 from ..baselines.gather import gather_detect_cycle_through_edge
 from ..baselines.naive import naive_detect_cycle_through_edge
 from ..core.algorithm1 import detect_cycle_through_edge
+from ..core.phase1 import RANK_SCHEME
 from ..core.tester import CkFreenessTester
 from ..errors import ConfigurationError, ReproError
 from ..graphs.graph import Graph
@@ -211,13 +212,16 @@ def execute_row(row: RunRow) -> Dict[str, Any]:
     field carries its flat summary — counters summed, gauges peaked, no
     wall clock — so per-run rounds/messages/cache-hit figures are
     deterministic and byte-identical between serial and parallel
-    execution.
+    execution.  ``"rank_scheme"`` names the Phase-1 rank function
+    (:data:`~repro.core.phase1.RANK_SCHEME`) the seeded outcome depends
+    on.
     """
     from ..obs import Telemetry
 
     record = dict(row.factors())
     record["run_id"] = row.run_id
     record["seed"] = row.seed
+    record["rank_scheme"] = RANK_SCHEME
     # Independent sub-seeds for instance sampling and protocol randomness.
     graph_seed = derive_seed(row.seed, "graph")
     algo_seed = derive_seed(row.seed, "algorithm")
@@ -300,13 +304,25 @@ def run_campaign(
 
     Rows whose ``run_id`` already appears in the store are skipped, which
     makes a second invocation of the same campaign a cheap resume (and a
-    completed campaign a no-op).
+    completed campaign a no-op).  A store holding records of another
+    rank scheme, or records that name none, is refused with a
+    :class:`~repro.errors.ConfigurationError`: their seeded outcomes
+    would not match this code's.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if chunksize < 1:
         raise ConfigurationError(f"chunksize must be >= 1, got {chunksize}")
-    done = store.completed_ids()
+    records = store.records()
+    foreign = {rec.get("rank_scheme") for rec in records} - {RANK_SCHEME}
+    if foreign:
+        found = ", ".join(sorted(repr(s) if s else "none" for s in foreign))
+        raise ConfigurationError(
+            f"{store.path}: its records carry rank scheme {found}, not "
+            f"{RANK_SCHEME!r}; seeded outcomes differ across schemes, so "
+            "run this campaign into a new store"
+        )
+    done = {rec["run_id"] for rec in records if "run_id" in rec}
     pending = [row for row in table.rows if row.run_id not in done]
     t0 = time.perf_counter()
     errors = 0

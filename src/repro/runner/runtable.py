@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..congest.engine import ENGINE_NAMES, parse_engine_spec
+from ..congest.engine import ENGINE_NAMES
 from ..errors import ConfigurationError
 from . import registry
 
@@ -231,9 +231,11 @@ class CampaignSpec:
         if not isinstance(self.engines, (list, tuple)) or not self.engines:
             raise ConfigurationError("campaign engines must be a non-empty list")
         for eng in self.engines:
-            # Accepts spec strings too ("fast:chunk=8"); raises a clear
-            # ConfigurationError for unknown names or bad chunk sizes.
-            parse_engine_spec(eng)
+            if eng not in ENGINE_NAMES:
+                raise ConfigurationError(
+                    f"unknown engine {eng!r}; choose from "
+                    f"{', '.join(ENGINE_NAMES)}"
+                )
         for attr in ("streams", "faults"):
             value = getattr(self, attr)
             if not isinstance(value, (list, tuple)) or not value:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..congest.engine import parse_engine_spec
+from ..congest.engine import ensure_engine_available
 from ..errors import ConfigurationError, GraphError
 from ..graphs import io as graph_io
 from ..graphs.graph import Graph
@@ -583,7 +583,7 @@ class ServiceServer:
             ) from exc
         engine = spec.get("engine", self.config.default_engine)
         try:
-            parse_engine_spec(str(engine))
+            ensure_engine_available(engine)
         except ConfigurationError as exc:
             raise ServiceError(400, "bad_request", str(exc)) from exc
         if ("base" in spec) == ("n" in spec):

@@ -244,11 +244,9 @@ def compare_engines_once(
     """Run every engine on one input and list every observable difference.
 
     The first engine is the baseline; each of the others is compared
-    against it (engines may be spec strings such as ``"fast:chunk=4"``).
-    A tester comparison runs ``C`` consecutive seeds from ``seed`` through
-    every engine's :meth:`~repro.congest.engine.CongestEngine.iter_tester_chunk`,
-    where ``C`` is the largest chunk size among the specs, so a chunked
-    spec is checked on one whole chunk of its batched kernel.
+    against it.  A tester comparison runs one repetition under ``seed``
+    through every engine's
+    :meth:`~repro.congest.engine.CongestEngine.run_tester_repetition`.
     Compared per run: the rejecting-vertex set, each rejector's cycle
     evidence, the round count, and the per-round audit aggregates
     (message count, total/max bits, the edge carrying the first maximum,
@@ -259,22 +257,19 @@ def compare_engines_once(
     net = network if network is not None else Network(graph)
     engs = [create_engine(name, net) for name in engines]
     if what == "tester":
-        seeds = [seed + i for i in range(max(eng.rep_chunk for eng in engs))]
-        runs = [list(eng.iter_tester_chunk(k, seeds)) for eng in engs]
+        runs = [eng.run_tester_repetition(k, seed) for eng in engs]
     else:
         edge_ids = edge if edge is not None else net.edge_ids(
             *next(iter(graph.edges()))
         )
-        seeds = [seed]
-        runs = [[eng.run_detect(k, edge_ids)] for eng in engs]
+        runs = [eng.run_detect(k, edge_ids) for eng in engs]
     return [
         EngineMismatch(
-            instance=instance, what=what, k=k, seed=run_seed,
+            instance=instance, what=what, k=k, seed=seed,
             field=field_name, detail=detail, pair=(engines[0], other),
         )
-        for other, other_runs in zip(engines[1:], runs[1:])
-        for run_seed, a, b in zip(seeds, runs[0], other_runs)
-        for field_name, detail in _run_differences(a, b)
+        for other, run in zip(engines[1:], runs[1:])
+        for field_name, detail in _run_differences(runs[0], run)
     ]
 
 

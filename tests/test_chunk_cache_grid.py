@@ -1,10 +1,10 @@
-"""Bit-identity of the tester across the performance axes.
+"""Bit-identity of the tester across engines and the compiled-instance cache.
 
-The batched-repetition kernels (``chunk=C`` engine-spec option) and the
-compiled-instance cache (:class:`~repro.congest.engine.cache.EngineCache`)
-are *transparent* optimisations: under a fixed seed, every cell of the
+The compiled-instance cache (:class:`~repro.congest.engine.cache.EngineCache`)
+is a *transparent* optimisation, and the engines are interchangeable:
+under a fixed seed, every cell of the
 
-    ``rep_chunk in {1, 3, R}  x  cache in {off, on}  x  engine family``
+    ``cache in {off, on}  x  engine``
 
 grid must produce the same verdict, the same per-repetition reports and
 evidence, the same trace aggregates, and the same protocol-level
@@ -24,8 +24,7 @@ EPS = 0.1
 REPS = 6
 SEED = 1234
 
-FAMILIES = ("reference", "fast")
-CHUNKS = (1, 3, REPS)
+ENGINES = ("reference", "fast")
 
 
 def _graph(name):
@@ -35,21 +34,10 @@ def _graph(name):
     return ck_free_graph(60, K, seed=4)
 
 
-def _specs(family):
-    """Every spec spelling of ``family`` on the chunk axis.
-
-    ``reference`` takes no options (its repetitions are inherently
-    serial), so its chunk axis collapses to the bare name.
-    """
-    if family == "reference":
-        return ("reference",)
-    return tuple(f"fast:chunk={c}" for c in CHUNKS)
-
-
-def _run(spec, graph, cache):
+def _run(engine, graph, cache):
     tel = Telemetry()
     tester = CkFreenessTester(
-        K, EPS, repetitions=REPS, engine=spec, telemetry=tel, cache=cache
+        K, EPS, repetitions=REPS, engine=engine, telemetry=tel, cache=cache
     )
     res = tester.run(graph, seed=SEED, stop_on_reject=False, keep_traces=True)
     return res, tel.summary()
@@ -76,15 +64,11 @@ def _fingerprint(res):
     )
 
 
-def _normalise(summary, spec, family):
-    """Summary keys with engine labels folded to a placeholder.
-
-    Tester counters are labelled with the full spec string
-    (``engine=fast:chunk=3``) and trace exports with the backend name
-    (``engine=fast``); both are presentation, not protocol.
-    """
+def _normalise(summary, engine):
+    """Summary keys with engine labels folded to a placeholder (the
+    backend name is presentation, not protocol)."""
     return {
-        key.replace(spec, "<engine>").replace(family, "<engine>"): value
+        key.replace(engine, "<engine>"): value
         for key, value in summary.items()
     }
 
@@ -95,13 +79,12 @@ def test_grid_bit_identity(name):
     cache = EngineCache()
     fingerprints = {}
     summaries = {}
-    for family in FAMILIES:
-        for spec in _specs(family):
-            for cached in (False, True):
-                res, summary = _run(spec, graph, cache if cached else None)
-                cell = (family, spec, cached)
-                fingerprints[cell] = _fingerprint(res)
-                summaries[cell] = _normalise(summary, spec, family)
+    for engine in ENGINES:
+        for cached in (False, True):
+            res, summary = _run(engine, graph, cache if cached else None)
+            cell = (engine, cached)
+            fingerprints[cell] = _fingerprint(res)
+            summaries[cell] = _normalise(summary, engine)
 
     cells = list(fingerprints)
     base = cells[0]
@@ -117,21 +100,18 @@ def test_grid_bit_identity(name):
     assert fingerprints[base][0] is (name == "free")
 
     # The shared cache actually carried the load: one compile per
-    # (spec, strictness) pair, every later cached run a hit.
-    assert cache.misses == sum(len(_specs(f)) for f in FAMILIES)
+    # engine, every later cached run a hit.
+    assert cache.misses == len(ENGINES)
     assert cache.hits == 0
 
 
-@pytest.mark.parametrize("family", ["fast"])
-def test_warm_cache_hits_are_identical(family):
+@pytest.mark.parametrize("engine", ["fast"])
+def test_warm_cache_hits_are_identical(engine):
     """A second cached run is served from cache and still bit-identical."""
     graph = _graph("far")
     cache = EngineCache()
-    spec = _specs(family)[1]  # chunk=3
-    first, tel_first = _run(spec, graph, cache)
-    second, tel_second = _run(spec, graph, cache)
+    first, tel_first = _run(engine, graph, cache)
+    second, tel_second = _run(engine, graph, cache)
     assert cache.misses == 1 and cache.hits == 1
     assert _fingerprint(first) == _fingerprint(second)
-    assert _normalise(tel_first, spec, family) == _normalise(
-        tel_second, spec, family
-    )
+    assert _normalise(tel_first, engine) == _normalise(tel_second, engine)

@@ -37,7 +37,7 @@ class TestCacheMechanics:
 
     def test_bad_spec_surfaces_before_hashing(self):
         with pytest.raises(ConfigurationError):
-            EngineCache().get("reference:chunk=2", cycle_graph(5))
+            EngineCache().get("warp", cycle_graph(5))
 
     def test_miss_then_hit(self):
         cache = EngineCache()
@@ -52,7 +52,7 @@ class TestCacheMechanics:
         cache = EngineCache()
         g = cycle_graph(8)
         eng = cache.get("fast", g)
-        assert cache.get("fast:chunk=2", g) is not eng
+        assert cache.get("reference", g) is not eng
         assert cache.get("fast", g, strict_bandwidth=True) is not eng
         h = g.copy()
         h.add_edge(0, 4)

@@ -3,21 +3,22 @@ identical to the ``reference`` scheduler under fixed seeds.
 
 Layers covered here:
 
-* bit-exactness of the vectorized RNG pipeline (``fastrng``) against
-  per-node numpy Generators — the foundation of verdict equivalence;
+* shared Phase-1 ranks: the fast engine's per-edge ranks are the
+  reference nodes' :func:`~repro.core.phase1.draw_ranks`, under every ID
+  assigner and for IDs past ``2**32`` — the foundation of verdict
+  equivalence;
 * engine-level equivalence on the registry's stress instances (seeded
   grid over theta / flower / figure1 / eps-far / sparse gnp, tester +
   detect);
 * tester-level equality of full :class:`TesterResult` objects;
 * the campaign runner's ``engines`` factor (same seeds, same outcomes,
   resumable stores, backward-compatible run ids);
-* engine-spec validation at the spec/``create_engine`` and CLI layers;
+* engine-name validation at the ``create_engine`` and CLI layers;
 * CLI ``--engine`` selection and the clean no-numpy error path.
 """
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -27,8 +28,13 @@ from repro.congest.engine import (
     create_engine,
     ensure_engine_available,
 )
-from repro.congest.engine.fastrng import RankStreams
-from repro.congest.ids import RandomPermutationIds, ReverseIds, SpreadIds
+from repro.congest.ids import (
+    IdAssigner,
+    IdentityIds,
+    RandomPermutationIds,
+    ReverseIds,
+    SpreadIds,
+)
 from repro.congest.network import Network
 from repro.core.algorithm1 import detect_cycle_through_edge
 from repro.core.tester import CkFreenessTester
@@ -47,60 +53,31 @@ from repro.testing import (
 )
 
 
-class TestFastRngExactness:
-    """fastrng replicates numpy's per-node Generator streams bit for bit."""
+class LargeIds(IdAssigner):
+    """Distinct IDs past ``2**32``, in reverse vertex order."""
 
-    IDS = list(range(12)) + [999, 2**31, 2**32 - 1]
+    def assign(self, n):
+        return [2 ** 40 + 7 * (n - v) for v in range(n)]
 
-    def _numpy_streams(self, seed_word):
-        return [
-            np.random.default_rng(np.random.SeedSequence((seed_word, i)))
-            for i in self.IDS
-        ]
+    def id_space(self, n):
+        return 2 ** 41
 
-    @pytest.mark.parametrize(
-        "low, high",
-        [
-            (1, 4019 ** 2 + 1),   # the tester's rank range (Lemire-32)
-            (1, 0xF0000001),      # ~6% rejection probability
-            (1, 2),               # zero-width range: no draw consumed
-            (0, 2 ** 32),         # full 32-bit range: raw next32
-            (1, 2 ** 40),         # Lemire-64
-        ],
-    )
-    def test_bounded_draws_match_numpy(self, low, high):
-        seed_word = 123456789
-        rs = RankStreams(seed_word, np.array(self.IDS, dtype=np.uint64))
-        gens = self._numpy_streams(seed_word)
-        for round_ in range(6):
-            # A varying subset exercises per-stream masking and buffering.
-            sub = [i for i in range(len(self.IDS)) if (i + round_) % 3]
-            mine = rs.integers(np.array(sub), low, high)
-            theirs = [int(gens[i].integers(low, high)) for i in sub]
-            assert mine.tolist() == theirs
 
-    def test_interleaved_ranges_share_the_buffered_half(self):
-        rs = RankStreams(11, np.arange(8, dtype=np.uint64))
-        gens = [
-            np.random.default_rng(np.random.SeedSequence((11, i)))
-            for i in range(8)
-        ]
-        idx = np.arange(8)
-        for low, high in [(1, 101), (1, 2 ** 34), (0, 2 ** 32), (5, 6)]:
-            assert rs.integers(idx, low, high).tolist() == [
-                int(g.integers(low, high)) for g in gens
-            ]
+ASSIGNERS = [
+    pytest.param(IdentityIds(), id="identity"),
+    pytest.param(RandomPermutationIds(seed=2), id="random"),
+    pytest.param(LargeIds(), id="large"),
+]
 
-    def test_rejects_ids_above_32_bits(self):
-        with pytest.raises(ValueError):
-            RankStreams(0, np.array([2 ** 32], dtype=np.uint64))
 
-    @pytest.mark.parametrize("ids", [None, RandomPermutationIds(seed=2)])
+class TestSharedRanks:
+    """Both engines draw Phase-1 ranks from one function, so ``fast``'s
+    per-edge ranks are the reference nodes' draws exactly."""
+
+    @pytest.mark.parametrize("ids", ASSIGNERS)
     def test_engine_ranks_match_reference_draws_with_hubs(self, ids):
-        # Two hubs own far more edges than the batched draw loop serves
-        # (they take the per-owner Generator path); the leaves and the
-        # path among them take the batched path.  Every edge's rank, in
-        # every repetition of a chunk, must be the reference node's draw.
+        # Two hubs hold most edges, a path joins the leaves, and the
+        # parity must hold whichever endpoint of an edge owns it.
         from repro.core.phase1 import draw_ranks
 
         g = star_graph(90)
@@ -108,25 +85,52 @@ class TestFastRngExactness:
             g.add_edge(1, leaf + 1, strict=False)
         for leaf in range(60, 90):
             g.add_edge(leaf, leaf + 1)
-        net = Network(g) if ids is None else Network(g, ids)
+        net = Network(g, ids)
         eng = create_engine("fast", net)
-        seeds = [0, 7, 2 ** 31 + 5]
-        ranks = eng._draw_edge_ranks(seeds)
+        node_ids = net.ids()
         edges = sorted(
-            (min(net.ids()[u], net.ids()[v]), max(net.ids()[u], net.ids()[v]))
+            (min(node_ids[u], node_ids[v]), max(node_ids[u], node_ids[v]))
             for u, v in g.edges()
         )
-        for row, seed in zip(ranks, seeds):
+        for seed in (0, 7, 2 ** 31 + 5, 2 ** 63 + 1):
             expected = {}
             for v in g.vertices():
-                my_id = net.ids()[v]
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((seed & 0x7FFFFFFF, my_id))
-                )
-                nbrs = tuple(net.ids()[u] for u in g.neighbors(v))
-                for draw in draw_ranks(my_id, nbrs, g.m, rng):
+                nbrs = tuple(node_ids[u] for u in g.neighbors(v))
+                for draw in draw_ranks(node_ids[v], nbrs, g.m, seed):
                     expected[draw.edge] = draw.rank
-            assert row.tolist() == [expected[e] for e in edges]
+            ranks = eng._draw_edge_ranks(seed)
+            assert ranks.tolist() == [expected[e] for e in edges]
+
+    def test_engines_agree_on_ids_past_2_32(self):
+        # Other assigners: test_id_assignment_does_not_break_equivalence.
+        g = registry.build_graph("eps-far", n=40, k=5, eps=0.1, seed=2)
+        net = Network(g, LargeIds())
+        for k in (4, 5, 6):
+            for seed in (0, 3):
+                assert compare_engines_once(
+                    g, k, seed, network=net, what="tester"
+                ) == []
+            assert compare_engines_once(g, k, 0, network=net,
+                                        what="detect") == []
+
+    def test_id_boundary_is_checked_up_front(self):
+        from repro.errors import CongestError
+
+        class TopIds(IdAssigner):
+            def __init__(self, top):
+                self.top = top
+
+            def assign(self, n):
+                return [self.top - v for v in range(n)]
+
+            def id_space(self, n):
+                return self.top + 1
+
+        g = cycle_graph(5)
+        net = Network(g, TopIds(2 ** 63 - 1))
+        assert compare_engines_once(g, 5, 1, network=net) == []
+        with pytest.raises(CongestError, match=r"2\*\*63"):
+            Network(g, TopIds(2 ** 63))
 
 
 class TestEngineRegistry:
@@ -153,62 +157,34 @@ class TestEngineRegistry:
         engine_mod.ensure_engine_available("reference")
 
     @pytest.mark.parametrize(
-        "spec, kwargs, match",
+        "spec",
         [
-            pytest.param("warp:chunk=2", {}, "unknown engine", id="unknown"),
-            pytest.param(
-                "reference:chunk=2", {}, "takes no options", id="reference-opt"
-            ),
-            pytest.param("fast:chunk=x", {}, "bad chunk size", id="chunk-x"),
-            pytest.param("fast:chunk=0", {}, "chunk must be >= 1", id="chunk-0"),
-            pytest.param(
-                "fast:chunk=2,chunk=3", {}, "chunk given twice", id="chunk-twice"
-            ),
-            pytest.param("fast:4", {}, "unknown option", id="bare-count"),
-            pytest.param("fast:", {}, "unknown option", id="empty-opt"),
-            pytest.param("fast:warp=1", {}, "unknown option", id="unknown-opt"),
-            pytest.param(
-                "fast:chunk=2", {"rep_chunk": 3}, "given both", id="spec-and-kwarg"
-            ),
+            # Engines are plain names: ``name:option`` spellings are
+            # unknown names like any other.
+            pytest.param("warp:chunk=2", id="unknown"),
+            pytest.param("reference:chunk=2", id="reference-opt"),
+            pytest.param("fast:4", id="bare-count"),
+            pytest.param("fast:", id="empty-opt"),
+            pytest.param("fast:warp=1", id="unknown-opt"),
         ],
     )
-    def test_bad_spec_rejected(self, spec, kwargs, match):
+    def test_bad_spec_rejected(self, spec):
         net = Network(cycle_graph(6))
-        with pytest.raises(ConfigurationError, match=match):
-            create_engine(spec, net, **kwargs)
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            create_engine(spec, net)
 
     @pytest.mark.parametrize(
-        "engine_args, match",
+        "engine_args",
         [
             # An unknown engine fails argument parsing (a usage error).
-            pytest.param(["--engine", "bogus"], None, id="unknown-engine"),
-            pytest.param(
-                ["--engine", "reference", "--rep-chunk", "2"],
-                "only applies to the fast engine",
-                id="reference-rep-chunk",
-            ),
-            pytest.param(
-                ["--engine", "fast:chunk=2", "--rep-chunk", "3"],
-                "given twice",
-                id="chunk-twice",
-            ),
-            pytest.param(
-                ["--engine", "fast", "--rep-chunk", "0"],
-                "chunk must be >= 1",
-                id="rep-chunk-0",
-            ),
+            pytest.param(["--engine", "bogus"], id="unknown-engine"),
         ],
     )
-    def test_bad_engine_flags_through_cli(self, engine_args, match):
+    def test_bad_engine_flags_through_cli(self, engine_args):
         with pytest.raises(SystemExit) as exc:
             cli_main(["test", "--generator", "cycle", "--n", "8", "--k", "4",
                       *engine_args])
-        if match is None:
-            assert exc.value.code == 2
-        else:
-            message = str(exc.value.code)
-            assert message.startswith("error:") and "\n" not in message
-            assert match in message
+        assert exc.value.code == 2
 
 
 class TestCrossEngineEquivalence:
@@ -233,15 +209,13 @@ class TestCrossEngineEquivalence:
         # instead of by sender ID only shows up under the other
         # assigners: at k = 4, once on the sparse graph, and under every
         # non-identity assigner on the denser one.
-        engines = ("reference", "fast", "fast:chunk=3")
         for g in (erdos_renyi_gnp(24, 0.2, seed=5),
                   erdos_renyi_gnp(24, 0.4, seed=5)):
             net = Network(g, assigner)
             for k in range(3, 9):
                 for seed in (0, 9):
                     assert compare_engines_once(
-                        g, k, seed, engines=engines, network=net,
-                        what="tester",
+                        g, k, seed, network=net, what="tester"
                     ) == []
                     assert compare_engines_once(
                         g, k, seed, network=net, what="detect"
@@ -343,9 +317,9 @@ class TestCrossEngineEquivalence:
     )
     def test_strict_bandwidth_raise_parity(self, monkeypatch, family, params, k):
         # Sweeping the budget moves the first oversized message through
-        # rounds 1..4.  Every backend, and the chunked tester (which runs
-        # strict audits in chunks of one), must stop at the same message
-        # as the reference: same round, edge, bits and budget.
+        # rounds 1..4.  Every backend, and the tester over it, must stop
+        # at the same message as the reference: same round, edge, bits
+        # and budget.
         g = registry.build_graph(family, seed=0, **params)
         default_model = Network.default_size_model
 
@@ -378,25 +352,10 @@ class TestCrossEngineEquivalence:
             net = Network(g)
             expected = repetition("reference", net)
             assert repetition("fast", net) == expected, factor
-            assert tester("fast:chunk=4") == tester("reference"), factor
+            assert tester("fast") == tester("reference"), factor
             if expected is not None:
                 tripped.add(expected[0])
         assert tripped == {1, 2, 3, 4}
-
-    def test_fast_engine_rejects_oversized_ids(self):
-        from repro.congest.ids import IdAssigner
-        from repro.errors import CongestError
-
-        class HugeIds(IdAssigner):
-            def assign(self, n):
-                return [2 ** 32 + i for i in range(n)]
-
-            def id_space(self, n):
-                return 2 ** 33
-
-        net = Network(erdos_renyi_gnp(6, 0.5, seed=0), HugeIds())
-        with pytest.raises(CongestError, match="2\\*\\*32"):
-            create_engine("fast", net)
 
 
 class TestEngineCampaignFactor:

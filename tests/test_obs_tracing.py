@@ -261,7 +261,7 @@ class TestPhaseProfiler:
         profiler = PhaseProfiler()
         profiler.add("fold", 0.25)
         path = tmp_path / "PROFILE.json"
-        doc = profiler.write(path, engine="fast:chunk=2")
+        doc = profiler.write(path, engine="fast")
         on_disk = json.loads(path.read_text())
         assert on_disk == doc
         assert validate_profile(on_disk) is on_disk
@@ -376,17 +376,15 @@ class TestCliTraceAndProfile:
         printed = capsys.readouterr().out
         assert rc == 0
         assert "scheduler_run" in printed
-        # The chunk size reaches the profiled run: three repetitions in
-        # one chunk draw their ranks in one batched pass.
-        for chunk_args, draws in (([], 3), (["--rep-chunk", "3"], 1)):
-            assert main([
-                "obs", "profile", "--engine", "fast", *chunk_args,
-                "--family", "gnp", "--params", "n=40,p=0.1", "--k", "5",
-                "--reps", "3", "--out", str(out_path),
-            ]) == 0
-            capsys.readouterr()
-            doc = validate_profile(json.loads(out_path.read_text()))
-            assert doc["phases"]["rank_draws"]["calls"] == draws
+        # Each profiled repetition draws its ranks once.
+        assert main([
+            "obs", "profile", "--engine", "fast",
+            "--family", "gnp", "--params", "n=40,p=0.1", "--k", "5",
+            "--reps", "3", "--out", str(out_path),
+        ]) == 0
+        capsys.readouterr()
+        doc = validate_profile(json.loads(out_path.read_text()))
+        assert doc["phases"]["rank_draws"]["calls"] == 3
 
 
 class TestEngineProfiling:

@@ -16,6 +16,7 @@ from repro.runner import (
     run_campaign,
     summarize_store,
 )
+from repro.runner.runtable import canonical_json
 
 # Small defaults so that building *every* registered family stays cheap.
 SMALL = dict(n=20, m=24, rows=3, cols=3, dim=3, height=2, paths=3,
@@ -212,6 +213,67 @@ class TestExecutor:
             run_campaign(table, store, workers=0)
         with pytest.raises(ConfigurationError):
             run_campaign(table, store, chunksize=0)
+
+
+class TestRankScheme:
+    """Records name the Phase-1 rank scheme; a store never mixes two."""
+
+    def _half_store(self, tmp_path, rewrite=None):
+        table = small_spec().expand()
+        store = CampaignStore(tmp_path / "r.jsonl")
+        half = type(table)(table.name, table.rows[: len(table) // 2])
+        run_campaign(half, store, workers=1)
+        if rewrite is not None:
+            records = [rewrite(dict(rec)) for rec in store.records()]
+            store.path.write_text(
+                "".join(canonical_json(rec) + "\n" for rec in records)
+            )
+        return table, store
+
+    def test_every_record_carries_the_scheme(self, tmp_path):
+        from repro.core.phase1 import RANK_SCHEME
+
+        table, store = self._half_store(tmp_path)
+        run_campaign(table, store, workers=1)
+        records = store.records()
+        assert len(records) == len(table)
+        assert {rec["rank_scheme"] for rec in records} == {RANK_SCHEME}
+
+    def test_resume_refuses_a_foreign_scheme(self, tmp_path):
+        def foreign(rec):
+            rec["rank_scheme"] = "numpy-pcg64"
+            return rec
+
+        table, store = self._half_store(tmp_path, foreign)
+        before = store.path.read_bytes()
+        with pytest.raises(ConfigurationError, match="'numpy-pcg64'"):
+            run_campaign(table, store, workers=1)
+        assert store.path.read_bytes() == before
+
+    def test_resume_refuses_records_without_a_scheme(self, tmp_path):
+        def unversioned(rec):
+            del rec["rank_scheme"]
+            return rec
+
+        table, store = self._half_store(tmp_path, unversioned)
+        with pytest.raises(ConfigurationError, match="rank scheme none"):
+            run_campaign(table, store, workers=2)
+
+    def test_cli_resume_is_a_clean_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        def foreign(rec):
+            rec["rank_scheme"] = "numpy-pcg64"
+            return rec
+
+        table, store = self._half_store(tmp_path, foreign)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(small_spec().to_json())
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "resume", "--spec", str(spec_path),
+                  "--store", str(store.path)])
+        message = str(exc.value.code)
+        assert message.startswith("error:") and "rank scheme" in message
 
 
 class TestStore:

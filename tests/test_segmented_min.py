@@ -6,7 +6,7 @@ with per-row ``np.minimum.reduceat`` passes.  Here they are checked
 against a brute-force per-node lexicographic minimum on random CSR
 graphs that have isolated vertices at the first, a middle and the last
 row, ranks from a tiny range (ties that only the edge index breaks),
-nodes none of whose neighbours send, and stacks of several repetitions.
+and nodes none of whose neighbours send.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ INF = int(_INF)
 
 @st.composite
 def csr_instances(draw):
-    """A random graph in the fast engine's CSR layout, plus tag stacks."""
+    """A random graph in the fast engine's CSR layout, plus tags."""
     n = draw(st.integers(min_value=5, max_value=14))
     isolated = {0, n // 2, n - 1}
     core = [v for v in range(n) if v not in isolated]
@@ -31,7 +31,6 @@ def csr_instances(draw):
         )
     )
     edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
-    C = draw(st.sampled_from([1, 3]))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
     adj = [sorted(w for e in edges for w in e if v in e and w != v)
@@ -47,7 +46,6 @@ def csr_instances(draw):
     m = max(len(edges), 1)
     return {
         "n": n,
-        "C": C,
         "indptr": indptr,
         "he_src": he_src,
         "he_dst": he_dst,
@@ -55,11 +53,11 @@ def csr_instances(draw):
         "adj": adj,
         "edge_of": lambda v, w: edge_index[(min(v, w), max(v, w))],
         # Ranks in {1, 2}: most minima are ties broken by the edge.
-        "edge_rank": rng.integers(1, 3, size=(C, m)),
-        "R": rng.integers(1, 3, size=(C, n)),
-        "E": rng.integers(0, m, size=(C, n)),
+        "edge_rank": rng.integers(1, 3, size=m),
+        "R": rng.integers(1, 3, size=n),
+        "E": rng.integers(0, m, size=n),
         # Sparse senders: many nodes hear from no neighbour at all.
-        "sending": rng.random((C, n)) < 0.3,
+        "sending": rng.random(n) < 0.3,
     }
 
 
@@ -79,43 +77,40 @@ SETTINGS = settings(
 @SETTINGS
 @given(csr_instances())
 def test_segmented_min_is_the_minimum_incident_tag(inst):
-    n, C = inst["n"], inst["C"]
+    n = inst["n"]
     starts, rows = _segments(inst)
     he_edge = inst["he_edge"]
-    no_tag = np.full((C, n), INF, dtype=np.int64)
+    no_tag = np.full(n, INF, dtype=np.int64)
     best_r, best_e = segmented_min(
-        inst["edge_rank"][:, he_edge], he_edge[None, :], starts, rows,
-        no_tag, no_tag,
+        inst["edge_rank"][he_edge], he_edge, starts, rows, no_tag, no_tag,
     )
-    for c in range(C):
-        for v in range(n):
-            tags = [
-                (int(inst["edge_rank"][c, inst["edge_of"](v, w)]),
-                 inst["edge_of"](v, w))
-                for w in inst["adj"][v]
-            ]
-            expected = min(tags) if tags else (INF, INF)
-            assert (best_r[c, v], best_e[c, v]) == expected
+    for v in range(n):
+        tags = [
+            (int(inst["edge_rank"][inst["edge_of"](v, w)]),
+             inst["edge_of"](v, w))
+            for w in inst["adj"][v]
+        ]
+        expected = min(tags) if tags else (INF, INF)
+        assert (best_r[v], best_e[v]) == expected
 
 
 @SETTINGS
 @given(csr_instances())
 def test_priority_mux_matches_brute_force(inst):
-    n, C = inst["n"], inst["C"]
+    n = inst["n"]
     R, E, sending = inst["R"], inst["E"], inst["sending"]
     starts, rows = _segments(inst)
     src, dst = inst["he_src"], inst["he_dst"]
     best_r, best_e, matches = priority_mux(R, E, sending, src, dst, starts, rows)
-    assert best_r.shape == best_e.shape == (C, n)
-    assert matches.shape == (C, len(src))
-    for c in range(C):
-        best = {}
-        for v in range(n):
-            tags = [(R[c, v], E[c, v])] + [
-                (R[c, w], E[c, w]) for w in inst["adj"][v] if sending[c, w]
-            ]
-            best[v] = min(tags)
-            assert (best_r[c, v], best_e[c, v]) == best[v]
-        for h, (v, w) in enumerate(zip(src, dst)):
-            survives = bool(sending[c, w]) and (R[c, w], E[c, w]) == best[v]
-            assert matches[c, h] == survives
+    assert best_r.shape == best_e.shape == (n,)
+    assert matches.shape == (len(src),)
+    best = {}
+    for v in range(n):
+        tags = [(R[v], E[v])] + [
+            (R[w], E[w]) for w in inst["adj"][v] if sending[w]
+        ]
+        best[v] = min(tags)
+        assert (best_r[v], best_e[v]) == best[v]
+    for h, (v, w) in enumerate(zip(src, dst)):
+        survives = bool(sending[w]) and (R[w], E[w]) == best[v]
+        assert matches[h] == survives
