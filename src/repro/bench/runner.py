@@ -79,13 +79,6 @@ def execute_benchmark(
     }
     walls: List[float] = []
     try:
-        # Benchmarks must not observe each other's compiled engines: a
-        # warm process-global cache would turn first-touch compile costs
-        # into hits depending on unit order (and on whether units share
-        # a worker process).  Start every unit cold.
-        from ..congest.engine.cache import global_engine_cache
-
-        global_engine_cache().clear()
         # Repeats run with the collector paused: allocation-heavy
         # kernels otherwise absorb whole-heap collection pauses whose
         # size tracks the import graph and unit order, not the code

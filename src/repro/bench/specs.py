@@ -226,19 +226,12 @@ def free_accept(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
 )
 def tester_speedup(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """Reference vs fast engine on one tester repetition (gnp, avg deg 4)."""
-    from ..congest.engine import available_engines, create_engine
+    from ..congest.engine import create_engine
     from ..congest.network import Network
     from ..graphs.generators import erdos_renyi_gnp
     from ..testing import compare_engines_once
 
     g = erdos_renyi_gnp(case["n"], case["p"], seed=1)
-    if "fast" not in available_engines():
-        # numpy missing: record the fact instead of failing the area.
-        # "skipped" is a string on purpose — strings never gate, so a
-        # no-numpy fresh run still passes compare against a with-numpy
-        # baseline (and vice versa: extra baseline-only float metrics
-        # never gate either).
-        return {"n": g.n, "m": g.m, "skipped": "numpy unavailable"}
     mismatches = compare_engines_once(g, case["k"], seed % (2**32))
     assert not mismatches, mismatches
     net = Network(g)
@@ -325,13 +318,10 @@ def fast_phases(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     stay under their :data:`_PHASE_CEILINGS` in units of a
     ``np.minimum.reduceat`` over the half-edges.
     """
-    from ..congest.engine import PhaseProfiler, available_engines, create_engine
+    from ..congest.engine import PhaseProfiler, create_engine
     from ..congest.network import Network
     from ..graphs.generators import ck_free_graph
 
-    if "fast" not in available_engines():
-        # Strings never gate: a no-numpy fresh run still compares clean.
-        return {"n": case["n"], "skipped": "numpy unavailable"}
     k, reps = case["k"], case["reps"]
     g = ck_free_graph(case["n"], k, seed=1)
     net = Network(g)
@@ -528,14 +518,10 @@ def compile_cache(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     that the cache registers exactly one miss, then gates on the
     min-of-N pair speedup of cached over uncached call loops.
     """
-    from ..congest.engine import available_engines
     from ..congest.engine.cache import EngineCache
     from ..core.algorithm1 import detect_cycle_through_edge
     from ..graphs.generators import erdos_renyi_gnp
 
-    if "fast" not in available_engines():
-        # Strings never gate: a no-numpy fresh run still compares clean.
-        return {"n": case["n"], "skipped": "numpy unavailable"}
     g = erdos_renyi_gnp(case["n"], case["p"], seed=1)
     edge = next(iter(g.edges()))
 
@@ -1191,19 +1177,12 @@ def trace_overhead(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     against the ``repro.profile/v1`` schema, and (d) the min-of-N
     wall-clock overhead stays inside the budget.
     """
-    from ..congest.engine import (
-        PhaseProfiler,
-        available_engines,
-        create_engine,
-        validate_profile,
-    )
+    from ..congest.engine import PhaseProfiler, create_engine, validate_profile
     from ..congest.network import Network
     from ..graphs import planted_epsilon_far_graph
     from ..obs import ListSink, Telemetry, resolve_telemetry
     from ..obs.tracing import TraceContext, activate_trace
 
-    if "fast" not in available_engines():
-        return {"n": case["n"], "skipped": "fast engine unavailable"}
     g, _ = planted_epsilon_far_graph(case["n"], case["k"], case["eps"], seed=0)
     net = Network(g)
     rep_seeds = [(seed + i) % (2**32) for i in range(case["reps"])]

@@ -4,10 +4,12 @@ One protocol, interchangeable backends (see
 :class:`~repro.congest.engine.base.CongestEngine` for the contract):
 
 * ``reference`` — the original per-node lock-step simulation, with a
-  per-message bit audit.  Always available.
+  per-message bit audit.
 * ``fast`` — batched numpy execution over CSR adjacency arrays with an
-  aggregate (per-sender) bit audit.  Requires numpy
-  (``pip install repro-cycles[fast]``).
+  aggregate (per-sender) bit audit.
+
+numpy is a core dependency, so both backends run wherever ``repro``
+imports.
 
 Select a backend by name::
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ...errors import ConfigurationError, EngineUnavailableError
+from ...errors import ConfigurationError
 from ..network import Network
 from .base import CongestEngine
 from .profiler import (
@@ -45,7 +47,6 @@ __all__ = [
     "CongestEngine",
     "NullProfiler",
     "PhaseProfiler",
-    "available_engines",
     "create_engine",
     "ensure_engine_available",
     "validate_profile",
@@ -55,47 +56,13 @@ __all__ = [
 ENGINE_NAMES: Tuple[str, ...] = ("reference", "fast")
 
 
-def _numpy_missing() -> str:
-    """Import-check numpy; return an empty string or the failure reason."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError as exc:  # pragma: no cover - numpy ships in [test]
-        return str(exc)
-    return ""
-
-
 def ensure_engine_available(name: str) -> None:
-    """Validate an engine name and this environment's ability to run it.
-
-    Raises :class:`~repro.errors.ConfigurationError` for names outside
-    :data:`ENGINE_NAMES` and
-    :class:`~repro.errors.EngineUnavailableError` when the backend's
-    dependencies are missing (e.g. ``fast`` without numpy).
-    """
+    """Raise :class:`~repro.errors.ConfigurationError` unless ``name`` is
+    one of :data:`ENGINE_NAMES`."""
     if name not in ENGINE_NAMES:
         raise ConfigurationError(
             f"unknown engine {name!r}; choose from {', '.join(ENGINE_NAMES)}"
         )
-    if name == "fast":
-        reason = _numpy_missing()
-        if reason:
-            raise EngineUnavailableError(
-                f"the {name!r} engine requires numpy, which is not installed "
-                f"({reason}); install it with `pip install repro-cycles[fast]` "
-                "or run with --engine reference"
-            )
-
-
-def available_engines() -> Tuple[str, ...]:
-    """The subset of :data:`ENGINE_NAMES` that can run here."""
-    out = []
-    for name in ENGINE_NAMES:
-        try:
-            ensure_engine_available(name)
-        except ConfigurationError:
-            continue
-        out.append(name)
-    return tuple(out)
 
 
 def create_engine(spec: str, network: Network, **kwargs) -> CongestEngine:

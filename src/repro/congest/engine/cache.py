@@ -38,7 +38,7 @@ the cache whenever ``faults is not None``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from ..network import Network
 from . import create_engine, ensure_engine_available
 from .base import CongestEngine
 
-__all__ = ["EngineCache", "global_engine_cache"]
+__all__ = ["EngineCache"]
 
 
 class EngineCache:
@@ -216,14 +216,3 @@ class EngineCache:
                 "repro_engine_cache_bytes",
                 "Bytes resident in the compiled-engine cache.",
             ).set(self.nbytes)
-
-
-_GLOBAL_CACHE: Optional[EngineCache] = None
-
-
-def global_engine_cache() -> EngineCache:
-    """The process-wide shared :class:`EngineCache` (created lazily)."""
-    global _GLOBAL_CACHE
-    if _GLOBAL_CACHE is None:
-        _GLOBAL_CACHE = EngineCache()
-    return _GLOBAL_CACHE

@@ -199,23 +199,6 @@ def export_trace(trace: ExecutionTrace, telemetry, *, engine: str) -> None:
     ).set_max(trace.max_sequences_per_message, engine=engine)
 
 
-def __getattr__(name: str) -> Any:
-    # Historical alias for ExecutionTrace, kept one deprecation cycle;
-    # the obs registry (export_trace) is now the aggregate source of
-    # truth and new code should not grow parallel counter structs.
-    if name == "TraceAggregates":
-        import warnings
-
-        warnings.warn(
-            "TraceAggregates is deprecated; use ExecutionTrace and "
-            "repro.obs (export_trace) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ExecutionTrace
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _nested_sequences(message: Any) -> int:
     """Total sequence count inside nested payloads (batched/multi-k
     messages wrap one bundle per sub-protocol in a dict)."""

@@ -113,7 +113,6 @@ def check_stream_parity(
     epsilon: float = 0.1,
     tester_repetitions: Optional[int] = None,
     family: str = "?",
-    check_tester: bool = True,
 ) -> Tuple[int, List[MonitorMismatch]]:
     """Replay one scenario under one engine, checking every step.
 
@@ -145,18 +144,17 @@ def check_stream_parity(
                 mismatches.append(MonitorMismatch(
                     check="witness", detail=error, **coords,
                 ))
-        if check_tester:
-            tester = CkFreenessTester(
-                k, epsilon, repetitions=tester_repetitions, engine=engine,
-            )
-            result = tester.run(graph, seed=monitor.step_seed(step))
-            if result.accepted != monitor.accepted:
-                mismatches.append(MonitorMismatch(
-                    check="tester",
-                    detail=f"from-scratch tester accepted={result.accepted}, "
-                           f"monitor accepted={monitor.accepted}",
-                    **coords,
-                ))
+        tester = CkFreenessTester(
+            k, epsilon, repetitions=tester_repetitions, engine=engine,
+        )
+        result = tester.run(graph, seed=monitor.step_seed(step))
+        if result.accepted != monitor.accepted:
+            mismatches.append(MonitorMismatch(
+                check="tester",
+                detail=f"from-scratch tester accepted={result.accepted}, "
+                       f"monitor accepted={monitor.accepted}",
+                **coords,
+            ))
 
     referee(0, "<init>")
     for mutation in stream.mutations:
@@ -173,7 +171,6 @@ def monitor_equivalence_report(
     engines: Sequence[str] = ("reference", "fast"),
     epsilon: float = 0.1,
     tester_repetitions: Optional[int] = None,
-    check_tester: bool = True,
 ) -> MonitorEquivalenceReport:
     """Sweep scenario cells × ks × seeds × engines; check every step.
 
@@ -196,7 +193,7 @@ def monitor_equivalence_report(
                         base, stream_spec, k,
                         engine=engine, seed=seed, epsilon=epsilon,
                         tester_repetitions=tester_repetitions,
-                        family=family, check_tester=check_tester,
+                        family=family,
                     )
                     report.steps_checked += steps
                     report.mismatches.extend(mismatches)

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..congest.engine.cache import EngineCache, global_engine_cache
+from ..congest.engine.cache import EngineCache
 from ..core.algorithm1 import detect_cycle_through_edge
 from ..core.tester import CkFreenessTester
 from ..errors import ConfigurationError
@@ -180,23 +180,18 @@ def _detect_local(
     all of their edges, and any cycle found in the subgraph exists in
     the full graph.
 
-    When ``csr`` carries ``graph``'s cached ``(indptr, indices)`` CSR
-    export, ball and subgraph are extracted from the arrays directly
-    (same ball, same relabelling, bit-identical detection) instead of
-    through the Python BFS + :meth:`~repro.graphs.graph.Graph.subgraph`
-    path.
+    Ball and subgraph come from ``graph``'s CSR ``(indptr, indices)``
+    export: ``csr`` when given (a cached export of the same content),
+    else :meth:`~repro.graphs.graph.Graph.to_csr`, which is memoised
+    until the next mutation.
     """
     from ..obs import resolve_telemetry
 
     tel = resolve_telemetry(telemetry)
-    if csr is not None:
-        indptr, indices = csr
-        ball_arr = _csr_ball(indptr, indices, edge, k // 2)
-        ball: Sequence[int] = ball_arr.tolist()
-        sub = _csr_ball_subgraph(indptr, indices, ball_arr)
-    else:
-        ball = k_neighborhood_ball(graph, edge, k // 2)
-        sub = graph.subgraph(ball)
+    indptr, indices = csr if csr is not None else graph.to_csr()
+    ball_arr = _csr_ball(indptr, indices, edge, k // 2)
+    ball = ball_arr.tolist()
+    sub = _csr_ball_subgraph(indptr, indices, ball_arr)
     if tel.enabled:
         tel.histogram(
             "repro_monitor_ball_size",
@@ -225,7 +220,6 @@ def full_redetect(
     seed: int = 0,
     epsilon: float = 0.1,
     tester_repetitions: Optional[int] = None,
-    use_tester_fast_path: bool = True,
     faults=None,
     telemetry=None,
     cache: Optional[EngineCache] = None,
@@ -245,22 +239,20 @@ def full_redetect(
     This is also the "naive per-step re-detection" baseline the dynamic
     benchmarks measure the monitor's caching against.  With an
     :class:`~repro.congest.engine.cache.EngineCache` the tester reuses
-    its compiled engine and the exact path extracts every per-edge ball
-    from one memoised CSR export instead of re-walking Python adjacency
-    ``m`` times; verdicts and witnesses are identical either way.
+    its compiled engine and the exact path reads its CSR export from the
+    cache; verdicts and witnesses are identical either way.
     """
     if graph.m == 0:
         return True, None
-    if use_tester_fast_path:
-        tester = CkFreenessTester(
-            k, epsilon, repetitions=tester_repetitions, engine=engine,
-            faults=faults, telemetry=telemetry, cache=cache,
-        )
-        result = tester.run(graph, seed=seed)
-        if result.rejected and result.evidence is not None:
-            # Default networks use identity IDs: evidence is already in
-            # vertex indices.
-            return False, tuple(result.evidence)
+    tester = CkFreenessTester(
+        k, epsilon, repetitions=tester_repetitions, engine=engine,
+        faults=faults, telemetry=telemetry, cache=cache,
+    )
+    result = tester.run(graph, seed=seed)
+    if result.rejected and result.evidence is not None:
+        # Default networks use identity IDs: evidence is already in
+        # vertex indices.
+        return False, tuple(result.evidence)
     csr = cache.csr(graph) if cache is not None else None
     for edge in graph.edges():
         witness = _detect_local(
@@ -334,9 +326,6 @@ class CkMonitor:
         Master seed; the re-test at version ``t`` uses the derived
         ``step_seed(t)``, so a parity harness can run the identical
         from-scratch tester at every step.
-    use_tester_fast_path:
-        Disable to make full re-tests purely deterministic (edge scan
-        only).
     faults:
         Optional fault model forwarded to every detection/tester run
         (reference engine only).  Message loss can hide witnesses, so
@@ -347,15 +336,13 @@ class CkMonitor:
         process global (disabled by default).  Records step/cache-hit
         counters, ball-size histograms and ``monitor.*`` spans.
     cache:
-        Compiled-instance cache policy.  ``None`` (default) gives the
-        monitor a private :class:`~repro.congest.engine.cache
-        .EngineCache`; ``True`` shares the process-global cache;
-        ``False`` disables caching (pre-cache behaviour); an
-        :class:`EngineCache` instance is used as given (e.g. one cache
-        shared by all sessions of a detection service).  Caching reuses
-        compiled engines inside full re-tests and extracts ⌊k/2⌋-ball
-        subgraphs from memoised CSR arrays; the per-step verdict,
-        witness and action stream is identical under every setting.
+        The :class:`~repro.congest.engine.cache.EngineCache` that holds
+        the compiled tester engine of full re-tests and the CSR export
+        of each graph version, from which ⌊k/2⌋-ball subgraphs are
+        extracted.  ``None`` (default) gives the monitor a private
+        cache; pass one instance to share it (e.g. across all sessions
+        of a detection service).  The per-step verdict, witness and
+        action stream do not depend on which cache is used.
     """
 
     def __init__(
@@ -367,10 +354,9 @@ class CkMonitor:
         epsilon: float = 0.1,
         tester_repetitions: Optional[int] = 8,
         seed: int = 0,
-        use_tester_fast_path: bool = True,
         faults=None,
         telemetry=None,
-        cache=None,
+        cache: Optional[EngineCache] = None,
     ) -> None:
         from ..obs import resolve_telemetry
 
@@ -381,17 +367,9 @@ class CkMonitor:
         self.epsilon = epsilon
         self.tester_repetitions = tester_repetitions
         self.seed = seed
-        self.use_tester_fast_path = use_tester_fast_path
         self._faults = faults
         self._telemetry = resolve_telemetry(telemetry)
-        if cache is None:
-            self._cache: Optional[EngineCache] = EngineCache()
-        elif cache is True:
-            self._cache = global_engine_cache()
-        elif cache is False:
-            self._cache = None
-        else:
-            self._cache = cache
+        self._cache = cache if cache is not None else EngineCache()
         # Never-reused identity for version-keyed CSR cache entries (an
         # id()-based key could collide after garbage collection when the
         # cache outlives the monitor).
@@ -533,17 +511,13 @@ class CkMonitor:
                 return True
         return False
 
-    def _current_csr(self):
-        """Cached CSR arrays of the current graph version (or ``None``).
+    def _current_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR arrays of the current graph version, from the cache.
 
         Keyed by ``(monitor identity, version)`` — unique per content
         for this monitor's lifetime — so per-insertion rechecks skip
-        both the content hash and the whole-adjacency sorted-cache
-        rebuild that :meth:`Graph.neighbors` would pay after every
-        mutation.
+        the content hash.
         """
-        if self._cache is None:
-            return None
         return self._cache.csr(
             self.graph, key=("monitor-csr", self._csr_token, self.version)
         )
@@ -560,7 +534,6 @@ class CkMonitor:
                 seed=self.step_seed(self.version),
                 epsilon=self.epsilon,
                 tester_repetitions=self.tester_repetitions,
-                use_tester_fast_path=self.use_tester_fast_path,
                 faults=self._faults,
                 telemetry=self._telemetry,
                 cache=self._cache,

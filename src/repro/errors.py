@@ -35,12 +35,3 @@ class ProtocolError(ReproError):
 
 class ConfigurationError(ReproError):
     """Raised for invalid user-supplied parameters (k, epsilon, ...)."""
-
-
-class EngineUnavailableError(ConfigurationError):
-    """Raised when a requested scheduler engine cannot run here.
-
-    Carries a human-readable remedy (e.g. ``pip install repro-cycles[fast]``
-    when the ``fast`` engine is requested without numpy installed); the CLI
-    turns it into a clean one-line error instead of a traceback.
-    """

@@ -300,7 +300,6 @@ def engine_equivalence_report(
     instances: Optional[Sequence[Tuple[str, Dict]]] = None,
     ks: Sequence[int] = (3, 4, 5, 6, 7),
     seeds: Sequence[int] = (0, 1),
-    include_detect: bool = True,
 ) -> EquivalenceReport:
     """Sweep a seeded instance grid and compare engines on every cell.
 
@@ -328,16 +327,15 @@ def engine_equivalence_report(
                         instance=family, what="tester",
                     )
                 )
-            if include_detect:
-                # Algorithm 1 is deterministic (the seed is unused), so
-                # one detect comparison per (instance, k) suffices.
-                report.comparisons += 1
-                report.mismatches.extend(
-                    compare_engines_once(
-                        graph, k, 0, engines=engines, network=net,
-                        instance=family, what="detect",
-                    )
+            # Algorithm 1 is deterministic (the seed is unused), so one
+            # detect comparison per (instance, k) suffices.
+            report.comparisons += 1
+            report.mismatches.extend(
+                compare_engines_once(
+                    graph, k, 0, engines=engines, network=net,
+                    instance=family, what="detect",
                 )
+            )
     return report
 
 

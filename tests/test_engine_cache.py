@@ -11,13 +11,12 @@ engine is compiled, never *what* any caller observes.  Covered here:
 * cached == uncached results for ``detect_cycle_through_edge`` and the
   tester;
 * the dynamic monitor's per-step verdict/witness/action stream is
-  identical under every cache policy (the satellite contract for the
-  CSR-extracted ball recheck).
+  identical with a private cache and with one shared between monitors.
 """
 
 import pytest
 
-from repro.congest.engine.cache import EngineCache, global_engine_cache
+from repro.congest.engine.cache import EngineCache
 from repro.core.algorithm1 import detect_cycle_through_edge
 from repro.core.tester import CkFreenessTester
 from repro.dynamic import CkMonitor, build_stream
@@ -99,9 +98,6 @@ class TestCacheMechanics:
         assert cache.csr(g, key=("v", 0)) is keyed
         assert cache.csr(g, key=("v", 1)) is not keyed
 
-    def test_global_cache_is_a_singleton(self):
-        assert global_engine_cache() is global_engine_cache()
-
 
 class TestCacheTransparency:
     def test_detect_results_identical(self):
@@ -151,12 +147,14 @@ class TestCacheTransparency:
 
 
 class TestMonitorStreamRegression:
-    """Satellite contract: the CSR-ball recheck changes no verdict.
+    """The engine cache changes no verdict.
 
     The monitor's per-step stream (action taken, verdict, witness, flip
-    flag) must be byte-identical whether balls are extracted from cached
-    CSR arrays (any cache policy) or by the legacy per-step BFS
-    (``cache=False``)."""
+    flag) must be byte-identical with a private cache and with one cache
+    shared by several monitors, as the sessions of a detection service
+    share it.  The CSR ball extraction itself is checked against the
+    BFS + ``Graph.subgraph`` reference in ``tests/test_dynamic_monitor.py``.
+    """
 
     @staticmethod
     def _stream_fingerprint(mon, mutations):
@@ -175,17 +173,17 @@ class TestMonitorStreamRegression:
         # the decision tree, which is where the CSR ball recheck lives.
         base = ck_free_graph(30, 5, seed=11)
         stream = build_stream(spec, base, seed=7, k=5)
-        runs = {}
-        for policy in (False, None, EngineCache()):
-            mon = CkMonitor(
-                base.copy(), 5, engine=engine, seed=3, cache=policy
+        shared = EngineCache()
+        # A private cache, then two monitors in turn on one shared cache.
+        runs = [
+            self._stream_fingerprint(
+                CkMonitor(base.copy(), 5, engine=engine, seed=3, cache=cache),
+                stream.mutations,
             )
-            runs[repr(policy)] = self._stream_fingerprint(
-                mon, stream.mutations
-            )
-        baseline = runs["False"]  # legacy BFS path
-        assert all(run == baseline for run in runs.values())
-        records, stats = baseline
+            for cache in (None, shared, shared)
+        ]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        records, stats = runs[0]
         assert stats["steps"] == len(records)
         # The stream must actually exercise the insertion recheck path.
         assert stats["local_rechecks"] > 0

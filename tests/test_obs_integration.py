@@ -13,14 +13,14 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.congest.engine import available_engines
+from repro.congest.engine import ENGINE_NAMES
 from repro.core import CkFreenessTester
 from repro.core.algorithm1 import detect_cycle_through_edge
 from repro.dynamic.campaign import run_monitor_stream
 from repro.graphs import cycle_graph, planted_epsilon_far_graph
 from repro.obs import Telemetry, parse_textfile, read_events
 
-ENGINES = available_engines()
+ENGINES = ENGINE_NAMES
 
 
 def _tester_outcome(graph, telemetry):

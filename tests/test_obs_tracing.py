@@ -14,7 +14,6 @@ import pytest
 from repro.congest.engine import (
     NULL_PROFILER,
     PhaseProfiler,
-    available_engines,
     create_engine,
     validate_profile,
 )
@@ -397,8 +396,6 @@ class TestEngineProfiling:
         assert set(doc["phases"]) == {"scheduler_run"}
 
     def test_fast_engine_phase_taxonomy_and_identity(self):
-        if "fast" not in available_engines():
-            pytest.skip("fast engine unavailable")
         net = Network(erdos_renyi_gnp(40, 0.12, seed=2))
         plain = create_engine("fast", net)
         profiler = PhaseProfiler()
@@ -412,8 +409,6 @@ class TestEngineProfiling:
                 "round_apply", "audit_fold", "decision"} <= set(doc["phases"])
 
     def test_fast_detect_phases(self):
-        if "fast" not in available_engines():
-            pytest.skip("fast engine unavailable")
         net = Network(cycle_graph(5))
         profiler = PhaseProfiler()
         engine = create_engine("fast", net, profiler=profiler)
