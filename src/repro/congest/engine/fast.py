@@ -33,6 +33,20 @@ per round with vectorized array operations:
   :func:`~repro.core.algorithm1.find_detection_evidence` — which is
   what makes the verdict equivalence structural rather than
   statistical.
+* **Algorithm 1 over an edge axis** (:meth:`FastEngine.first_cycle_edge`,
+  the exact scan of :func:`~repro.dynamic.monitor.full_redetect`) runs
+  one execution per edge of a block side by side over the compiled
+  instance, as ``(slot, holder, sequence)`` int64 pools: broadcast is a
+  CSR expansion plus one sort, Instruction 12 a mask, round 2 of the
+  default pruner (the only one the scan runs) keeps every sequence, and
+  the decision has the same exact Lemma-1 prefilter.  Executions through
+  different edges never interact (Algorithm 1 has no priority rule), so
+  each one's outputs are :meth:`FastEngine.run_detect`'s.  Blocks double
+  while they fit a row budget, and a block is cut to fit it before each
+  broadcast, so a pool of two or more executions never exceeds it.
+  Single-edge detection stays per node: a block-of-one execution is no
+  cheaper than :meth:`FastEngine.run_detect` even before the audit
+  ``run_detect`` also records.
 * **The bit audit is aggregate instead of per-message**: a broadcast
   costs the same bits on every incident edge, so per-round totals,
   maxima and strict-mode budget violations are computed from per-sender
@@ -54,7 +68,7 @@ accepts (IDs below ``2**63``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,6 +87,15 @@ _INF = np.int64(1) << np.int64(62)
 
 #: One round's sequences of one repetition (see ``FastEngine._pool``).
 Pool = Tuple[np.ndarray, np.ndarray]
+
+#: One round's sequences of a block of Algorithm-1 executions, as
+#: ``(slot, holder, mat)`` (see ``FastEngine._broadcast``).
+EdgePool = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Row budget of :meth:`FastEngine.first_cycle_edge`: before each
+#: broadcast a block of edges drops the trailing executions that would
+#: take it past this many rows, keeping at least one edge.
+_SCAN_ROW_BUDGET = 4096
 
 
 def segmented_min(
@@ -197,6 +220,8 @@ class FastEngine(CongestEngine):
         edge_of_he = np.empty(len(indices), dtype=np.int64)
         edge_of_he[mine] = edge_of_he[theirs] = np.arange(g.m)
         self._edge_of_he = edge_of_he
+        # Each edge's owned half-edge: its endpoint vertices for the scan.
+        self._edge_he = mine
         # The edge table's endpoint IDs: the rank draws' keys.
         self._edge_a = ids[he_src[mine]]
         self._edge_b = ids[indices[mine]]
@@ -219,6 +244,8 @@ class FastEngine(CongestEngine):
         )
         self._bits_untagged_overhead = model.bundle_bits(SequenceBundle(frozenset()))
         self._seq_bits_cache: Dict[int, int] = {}
+        # One more than the largest ID: the radix of packed scan sort keys.
+        self._id_base = int(ids.max()) + 1 if n else 1
         self._budget = model.budget_bits(n)
 
     def _seq_bits(self, seq_len: int) -> int:
@@ -237,7 +264,8 @@ class FastEngine(CongestEngine):
             for arr in (
                 self._ids, self._indptr, self._indices, self._degrees,
                 self._rows, self._row_starts, self._he_src, self._he_dst,
-                self._edge_of_he, self._edge_a, self._edge_b, self._he_by_id,
+                self._edge_of_he, self._edge_he, self._edge_a, self._edge_b,
+                self._he_by_id,
             )
         )
 
@@ -669,3 +697,228 @@ class FastEngine(CongestEngine):
                 if cycle is not None:
                     outputs[v] = DetectionOutcome(rejects=True, cycle=cycle)
         return self._finish(RunResult(outputs, trace))
+
+    # ------------------------------------------------------------------
+    # Algorithm 1 over an edge axis
+    # ------------------------------------------------------------------
+    # An edge pool holds one round's sequences of many executions of
+    # Algorithm 1, one per edge of a block, as ``(slot, holder, mat)``:
+    # row ``i`` is the ID sequence ``mat[i]``, held by vertex
+    # ``holder[i]`` in the execution through block edge ``slot[i]``.
+    # Rows stay sorted by (slot, holder, sequence), so each (slot,
+    # vertex) group lists its sequences in ``sort_sequences`` order.
+    # Executions never interact: Algorithm 1 has no priority rule.
+    def _broadcast(self, pool: EdgePool) -> EdgePool:
+        """What every vertex receives when each row's holder broadcasts
+        it: one row per (row, neighbour), sorted by (slot, receiver,
+        sequence)."""
+        slot, holder, mat = pool
+        deg = self._degrees[holder]
+        src = np.repeat(np.arange(len(holder)), deg)
+        first = np.repeat(self._indptr[holder] - (np.cumsum(deg) - deg), deg)
+        recv = self._indices[first + np.arange(len(src))]
+        n, base = len(self._ids), self._id_base
+        if len(src) and (int(slot[-1]) + 1) * n * base ** mat.shape[1] < 2**63:
+            # The whole sort key fits one int64: one argsort, no lexsort.
+            key = slot[src] * n + recv
+            for col in mat.T:
+                key = key * base + col[src]
+            order = np.argsort(key)
+        else:
+            order = np.lexsort((*mat[src].T[::-1], recv, slot[src]))
+        src = src[order]
+        return slot[src], recv[order], mat[src]
+
+    @staticmethod
+    def _contains(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Per row of ``mat``: whether the row holds its value of ``x``."""
+        hit = mat[:, 0] == x
+        for col in mat.T[1:]:
+            hit |= col == x
+        return hit
+
+    @staticmethod
+    def _groups(
+        slot: np.ndarray, holder: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """First and past-the-last row of every (slot, holder) group of a
+        sorted edge pool."""
+        new = np.ones(len(slot), dtype=bool)
+        new[1:] = (slot[1:] != slot[:-1]) | (holder[1:] != holder[:-1])
+        starts = np.flatnonzero(new)
+        return starts, np.append(starts[1:], len(slot))
+
+    def _edge_round(self, recv: EdgePool, k: int, t: int) -> EdgePool:
+        """Instructions 10–27 of round ``t`` in every execution at once,
+        under :class:`~repro.core.pruning.HittingSetPruner`.
+
+        Instruction 12 is one mask.  Round 2 keeps every sequence (a group
+        holds at most the two endpoint singletons) and a lone sequence is
+        always kept, so the pure pruner runs only on groups of two or
+        more rows at rounds ``t >= 3``.
+        """
+        from ...core.pruning import HittingSetPruner
+
+        slot, holder, mat = recv
+        me = self._ids[holder]
+        keep = ~self._contains(mat, me)
+        slot, holder, mat, me = slot[keep], holder[keep], mat[keep], me[keep]
+        if t > 2 and len(slot):
+            starts, ends = self._groups(slot, holder)
+            multi = ends - starts > 1
+            starts, ends = starts[multi], ends[multi]
+            if len(starts):
+                # The groups' rows, gathered: group i is rows[lo_i:hi_i].
+                sizes = ends - starts
+                his = np.cumsum(sizes)
+                at = np.repeat(starts - (his - sizes), sizes) + np.arange(his[-1])
+                rows = list(map(tuple, mat[at].tolist()))
+                select = HittingSetPruner().select
+                flags: List[bool] = []
+                for lo, hi in zip((his - sizes).tolist(), his.tolist()):
+                    kept = set(select(rows[lo:hi], k, t))
+                    flags += [row in kept for row in rows[lo:hi]]
+                keep = np.ones(len(slot), dtype=bool)
+                keep[at] = flags
+                slot, holder = slot[keep], holder[keep]
+                mat, me = mat[keep], me[keep]
+        return slot, holder, np.hstack((mat, me[:, None]))
+
+    @classmethod
+    def _endpoint_kinds(
+        cls, mat: np.ndarray, a: np.ndarray, b: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row: starts at ``a`` without ``b``; starts at ``b`` without
+        ``a`` (``a``/``b`` are the row's execution's endpoint IDs)."""
+        first = mat[:, 0]
+        from_a = (first == a) & ~cls._contains(mat, b)
+        from_b = (first == b) & ~cls._contains(mat, a)
+        return from_a, from_b
+
+    def _edge_decide(
+        self,
+        k: int,
+        a_ids: np.ndarray,
+        b_ids: np.ndarray,
+        recv: EdgePool,
+        own: EdgePool,
+    ) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
+        """Instructions 31–42 in every execution: the rejecting ``(slot,
+        vertex, cycle)`` triples, in (slot, vertex) order.
+
+        Exact prefilter (Lemma 1): ``|L1 ∪ L2 ∪ {ID}| = k`` needs two
+        disjoint sequences that start at different endpoints, so each
+        misses the other's endpoint.  A (slot, vertex) group can reject
+        only if it holds a received sequence of one such kind that also
+        misses the vertex's ID, and one of the other kind: received too
+        for odd ``k``, from the vertex's own last send for even ``k``.
+        Only those groups run
+        :func:`~repro.core.algorithm1.find_detection_evidence`.
+        """
+        from ...core.algorithm1 import find_detection_evidence
+
+        slot, holder, mat = recv
+        if not len(slot):
+            return
+        starts, ends = self._groups(slot, holder)
+        from_a, from_b = self._endpoint_kinds(mat, a_ids[slot], b_ids[slot])
+        lacks_me = ~self._contains(mat, self._ids[holder])
+        recv_a = np.logical_or.reduceat(from_a & lacks_me, starts)
+        recv_b = np.logical_or.reduceat(from_b & lacks_me, starts)
+        if k % 2:
+            can = recv_a & recv_b
+        else:
+            o_slot, o_holder, o_mat = own
+            o_starts, o_ends = self._groups(o_slot, o_holder)
+            o_from_a, o_from_b = self._endpoint_kinds(
+                o_mat, a_ids[o_slot], b_ids[o_slot]
+            )
+            n = len(self._ids)
+            o_key = o_slot[o_starts] * n + o_holder[o_starts]
+            key = slot[starts] * n + holder[starts]
+            at = np.minimum(np.searchsorted(o_key, key), len(o_key) - 1)
+            sent = o_key[at] == key
+            own_a = sent & np.logical_or.reduceat(o_from_a, o_starts)[at]
+            own_b = sent & np.logical_or.reduceat(o_from_b, o_starts)[at]
+            can = (recv_a & own_b) | (recv_b & own_a)
+        for g in np.flatnonzero(can).tolist():
+            lo, hi = starts[g], ends[g]
+            s, v = int(slot[lo]), int(holder[lo])
+            own_seqs = []
+            if k % 2 == 0:
+                o = at[g]
+                own_seqs = list(map(tuple, o_mat[o_starts[o] : o_ends[o]].tolist()))
+            received = list(map(tuple, mat[lo:hi].tolist()))
+            cycle = find_detection_evidence(self._id_list[v], k, own_seqs, received)
+            if cycle is not None:
+                yield s, v, cycle
+
+    def _fit_budget(self, pool: EdgePool, edges: int) -> Tuple[EdgePool, int]:
+        """The leading executions of a block of ``edges`` whose broadcast
+        of ``pool`` stays within ``_SCAN_ROW_BUDGET`` rows (at least
+        one), with their count."""
+        slot, holder, mat = pool
+        rows = np.cumsum(self._degrees[holder])
+        if not len(rows) or rows[-1] <= _SCAN_ROW_BUDGET:
+            return pool, edges
+        # Rows are sorted by slot: every slot before the one holding the
+        # first row past the budget fits whole.
+        over = np.searchsorted(rows, _SCAN_ROW_BUDGET, side="right")
+        edges = max(1, int(slot[over]))
+        end = np.searchsorted(slot, edges)
+        return (slot[:end], holder[:end], mat[:end]), edges
+
+    def _detect_edges(
+        self, k: int, lo: int, hi: int
+    ) -> Tuple[int, Iterator[Tuple[int, int, Tuple[int, ...]]]]:
+        """Algorithm 1 through the edge-table rows ``lo:hi``, side by side.
+
+        Before each broadcast the block keeps only its leading executions
+        whose broadcast fits ``_SCAN_ROW_BUDGET`` rows (at least one), so
+        no pool of a block of two or more edges exceeds the budget.
+        Returns the end of the edge rows that ran and, lazily, their
+        rejecting ``(slot, vertex, cycle)`` triples in (slot, vertex)
+        order; slot ``s`` is edge ``lo + s``.  Each execution's outputs
+        are those of :meth:`run_detect` through that edge.
+        """
+        he = self._edge_he[lo:hi]
+        u, v = self._he_src[he], self._he_dst[he]
+        # Round 1: the endpoints broadcast their singleton sequences.
+        slot = np.repeat(np.arange(hi - lo), 2)
+        holder = np.stack((np.minimum(u, v), np.maximum(u, v)), axis=1).ravel()
+        pool, edges = (slot, holder, self._ids[holder][:, None]), hi - lo
+        for t in range(2, k // 2 + 1):
+            pool, edges = self._fit_budget(pool, edges)
+            pool = self._edge_round(self._broadcast(pool), k, t)
+        pool, edges = self._fit_budget(pool, edges)
+        recv = self._broadcast(pool)
+        return lo + edges, self._edge_decide(
+            k, self._edge_a[lo:hi], self._edge_b[lo:hi], recv, pool
+        )
+
+    def first_cycle_edge(self, k: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """Algorithm 1 through every edge, in edge-table order, until one
+        execution rejects.
+
+        Returns ``(edge, cycle)`` for the first rejecting edge — its row
+        in the canonical ``(smaller ID, larger ID)`` edge table — with
+        the cycle (node IDs) of its first rejecting vertex, exactly what
+        :meth:`run_detect` through each edge in turn would find first;
+        ``None`` when no edge lies on a k-cycle.  Edges run in blocks on
+        one edge axis (:meth:`_detect_edges`, which cuts a block to fit
+        ``_SCAN_ROW_BUDGET``): a block starts at one edge, the next one
+        is twice as large after a block that ran whole and as large as
+        the cut block after a cut.  No audit is recorded.
+        """
+        self._check_k(k)
+        m = self._net.graph.m
+        lo, size = 0, 1
+        while lo < m:
+            end = min(m, lo + size)
+            hi, rejects = self._detect_edges(k, lo, end)
+            hit = next(rejects, None)
+            if hit is not None:
+                return lo + hit[0], hit[2]
+            size = (hi - lo) * (2 if hi == end else 1)
+            lo = hi
+        return None

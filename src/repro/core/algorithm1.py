@@ -315,16 +315,23 @@ def detect_cycle_through_edge(
         result = eng.run_detect(k, edge_ids, pruner=pruner)
     outcomes: Dict[int, DetectionOutcome] = result.outputs
     detected = any(o.rejects for o in outcomes.values())
-    if tel.enabled:
-        tel.counter(
-            "repro_detect_runs_total",
-            "Algorithm 1 edge detections run, by engine backend.",
-            ("engine",),
-        ).inc(engine=engine)
-        if detected:
-            tel.counter(
-                "repro_detect_hits_total",
-                "Edge detections that found a k-cycle, by engine backend.",
-                ("engine",),
-            ).inc(engine=engine)
+    record_detections(tel, engine, 1, int(detected))
     return EdgeDetectionResult(detected=detected, outcomes=outcomes, run=result)
+
+
+def record_detections(telemetry, engine: str, runs: int, hits: int) -> None:
+    """Count ``runs`` edge detections, ``hits`` of which found a k-cycle,
+    in ``repro_detect_runs_total`` / ``repro_detect_hits_total``."""
+    if not telemetry.enabled:
+        return
+    telemetry.counter(
+        "repro_detect_runs_total",
+        "Algorithm 1 edge detections run, by engine backend.",
+        ("engine",),
+    ).inc(runs, engine=engine)
+    if hits:
+        telemetry.counter(
+            "repro_detect_hits_total",
+            "Edge detections that found a k-cycle, by engine backend.",
+            ("engine",),
+        ).inc(hits, engine=engine)

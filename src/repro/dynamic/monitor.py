@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..congest.engine.cache import EngineCache
-from ..core.algorithm1 import detect_cycle_through_edge
+from ..core.algorithm1 import detect_cycle_through_edge, record_detections
 from ..core.tester import CkFreenessTester
 from ..errors import ConfigurationError
 from ..graphs.graph import Graph
@@ -171,45 +171,35 @@ def _detect_local(
     faults=None,
     telemetry=None,
     csr: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> Optional[Tuple[int, ...]]:
+) -> Tuple[int, Optional[Tuple[int, ...]]]:
     """Run Algorithm 1 through ``edge`` inside its k-neighbourhood ball.
 
-    Returns the witness cycle as *vertex indices of ``graph``* (mapped
-    back from the ball subgraph), or ``None``.  Exactness: the ball
-    contains every k-cycle through the edge, the induced subgraph keeps
-    all of their edges, and any cycle found in the subgraph exists in
-    the full graph.
+    Returns the ball's vertex count and the witness cycle as *vertex
+    indices of ``graph``* (mapped back from the ball subgraph), or
+    ``None``.  Exactness: the ball contains every k-cycle through the
+    edge, the induced subgraph keeps all of their edges, and any cycle
+    found in the subgraph exists in the full graph.
 
     Ball and subgraph come from ``graph``'s CSR ``(indptr, indices)``
     export: ``csr`` when given (a cached export of the same content),
     else :meth:`~repro.graphs.graph.Graph.to_csr`, which is memoised
     until the next mutation.
     """
-    from ..obs import resolve_telemetry
-
-    tel = resolve_telemetry(telemetry)
     indptr, indices = csr if csr is not None else graph.to_csr()
     ball_arr = _csr_ball(indptr, indices, edge, k // 2)
     ball = ball_arr.tolist()
     sub = _csr_ball_subgraph(indptr, indices, ball_arr)
-    if tel.enabled:
-        tel.histogram(
-            "repro_monitor_ball_size",
-            "Vertices in the ⌊k/2⌋-ball of a locally rechecked edge.",
-        ).observe(len(ball))
     index = {vertex: i for i, vertex in enumerate(ball)}
     det = detect_cycle_through_edge(
         sub, (index[edge[0]], index[edge[1]]), k,
-        engine=engine, faults=faults, telemetry=tel,
+        engine=engine, faults=faults, telemetry=telemetry,
     )
-    if not det.detected:
-        return None
-    cycle = det.any_cycle_ids()
-    if cycle is None:  # pragma: no cover - rejects always carry evidence
-        return None
+    cycle = det.any_cycle_ids() if det.detected else None
+    if cycle is None:
+        return len(ball), None
     # Default Network assigns identity IDs, so subgraph node IDs are
     # subgraph vertex indices; map back to the caller's vertex space.
-    return tuple(ball[i] for i in cycle)
+    return len(ball), tuple(ball[i] for i in cycle)
 
 
 def full_redetect(
@@ -233,35 +223,68 @@ def full_redetect(
     1. *(fast path)* one seeded :class:`CkFreenessTester` run — its
        rejections carry genuine cycle evidence (1-sided error), so a
        reject finishes immediately;
-    2. *(exact path)* Algorithm 1 through every edge — deterministic
-       completeness guarantees a k-cycle is found iff one exists.
+    2. *(exact path)* Algorithm 1 through every edge, in
+       :meth:`~repro.graphs.graph.Graph.edges` order, until one rejects
+       — deterministic completeness guarantees a k-cycle is found iff
+       one exists.  The witness is the cycle of the first rejecting
+       vertex of the first rejecting edge.
+
+    The exact path runs under one ``detect.scan`` span (attributes
+    ``k``, ``engine`` and ``edges``, the edges examined) and adds those
+    edges to ``repro_detect_runs_total``.  On the ``fast`` engine it is
+    one :meth:`~repro.congest.engine.fast.FastEngine.first_cycle_edge`
+    call on the tester's compiled instance, which runs blocks of edges
+    side by side; without a ``cache`` a private one serves both halves,
+    so the graph is compiled once.  On the ``reference`` engine (and
+    with faults) each edge runs on its own inside its ⌊k/2⌋-ball, the
+    executable specification the kernel is tested against.  Both find
+    the same witness.
 
     This is also the "naive per-step re-detection" baseline the dynamic
     benchmarks measure the monitor's caching against.  With an
     :class:`~repro.congest.engine.cache.EngineCache` the tester reuses
-    its compiled engine and the exact path reads its CSR export from the
-    cache; verdicts and witnesses are identical either way.
+    its compiled engine and the exact path reads its compiled instance
+    or CSR export from the cache; verdicts and witnesses are identical
+    either way.
     """
+    from ..obs import resolve_telemetry
+
     if graph.m == 0:
         return True, None
+    if engine == "fast" and cache is None:
+        cache = EngineCache()
+    tel = resolve_telemetry(telemetry)
     tester = CkFreenessTester(
         k, epsilon, repetitions=tester_repetitions, engine=engine,
-        faults=faults, telemetry=telemetry, cache=cache,
+        faults=faults, telemetry=tel, cache=cache,
     )
     result = tester.run(graph, seed=seed)
     if result.rejected and result.evidence is not None:
         # Default networks use identity IDs: evidence is already in
         # vertex indices.
         return False, tuple(result.evidence)
-    csr = cache.csr(graph) if cache is not None else None
-    for edge in graph.edges():
-        witness = _detect_local(
-            graph, edge, k, engine=engine, faults=faults,
-            telemetry=telemetry, csr=csr,
-        )
-        if witness is not None:
-            return False, witness
-    return True, None
+    with tel.span("detect.scan", k=k, engine=engine) as span:
+        if engine == "fast":
+            # Identity IDs: the edge table is graph.edges() order and
+            # the cycle is in vertex indices.
+            hit = cache.get(engine, graph, telemetry=tel).first_cycle_edge(k)
+            edges = graph.m if hit is None else hit[0] + 1
+            witness = None if hit is None else hit[1]
+            record_detections(tel, engine, edges, int(hit is not None))
+        else:
+            csr = cache.csr(graph) if cache is not None else None
+            edges, witness = 0, None
+            for edge in graph.edges():
+                edges += 1
+                _, witness = _detect_local(
+                    graph, edge, k, engine=engine, faults=faults,
+                    telemetry=tel, csr=csr,
+                )
+                if witness is not None:
+                    break
+        if tel.enabled:
+            span.attrs["edges"] = edges
+    return witness is None, witness
 
 
 @dataclass
@@ -428,11 +451,17 @@ class CkMonitor:
                 hit_kind = "insert_into_reject"
             else:
                 action = LOCAL_RECHECK
-                witness = _detect_local(
+                ball, witness = _detect_local(
                     self.graph, mutation.edge, self.k,
                     engine=self.engine, faults=self._faults,
                     telemetry=self._telemetry, csr=self._current_csr(),
                 )
+                if self._telemetry.enabled:
+                    self._telemetry.histogram(
+                        "repro_monitor_ball_size",
+                        "Vertices in the ⌊k/2⌋-ball of a locally rechecked "
+                        "edge.",
+                    ).observe(ball)
                 if witness is not None:
                     self._accepted, self._witness = False, witness
         elif mutation.op == REMOVE_EDGE:

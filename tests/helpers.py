@@ -6,6 +6,18 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.graphs import Graph, erdos_renyi_gnp
+from repro.runner import registry
+
+# Small parameters so building every registered family stays cheap
+# (mirrors tests/test_runner.py::SMALL).
+SMALL = dict(n=20, m=12, rows=3, cols=3, dim=3, height=2, paths=3,
+             path_length=2, width=2, cycles=2, eps=0.1, p=0.12,
+             attach=2, d=4, beta=0.2, exponent=2.5)
+
+
+def small_instance(family: str, seed: int, k: int):
+    """A small instance of ``family`` built through the registry."""
+    return registry.build_graph(family, seed=seed, **{**SMALL, "k": k})
 
 
 def random_graphs(count: int, n_lo: int = 5, n_hi: int = 12, seed: int = 0):

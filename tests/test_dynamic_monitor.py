@@ -152,12 +152,20 @@ class TestLocality:
 class TestFullRedetect:
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_matches_oracle(self, engine):
+        other = "fast" if engine == "reference" else "reference"
         for seed in range(4):
             g = erdos_renyi_gnp(14, 0.16, seed=seed)
-            accepted, witness = full_redetect(g, 5, engine=engine, seed=seed)
-            assert accepted == (not has_k_cycle(g, 5))
-            if not accepted:
-                assert witness_is_valid(g, witness, 5)
+            # One tester repetition leaves more witnesses to the scan.
+            for reps in (None, 1):
+                kwargs = dict(seed=seed, tester_repetitions=reps)
+                accepted, witness = full_redetect(g, 5, engine=engine, **kwargs)
+                assert accepted == (not has_k_cycle(g, 5))
+                if not accepted:
+                    assert witness_is_valid(g, witness, 5)
+                # Both engines return the same verdict and witness.
+                assert full_redetect(g, 5, engine=other, **kwargs) == (
+                    accepted, witness,
+                )
 
     def test_edgeless_graph_accepts(self):
         from repro.graphs.graph import Graph

@@ -10,41 +10,35 @@ from-scratch seeded ``CkFreenessTester`` runs goes through
 """
 
 import pytest
+from helpers import small_instance
 
 from repro.dynamic import CkMonitor, build_stream, monitor_equivalence_report
 from repro.graphs.cycles import has_k_cycle
 from repro.runner import registry
 
-# Small parameters so building every registered family stays cheap
-# (mirrors tests/test_runner.py::SMALL).
-SMALL = dict(n=20, m=12, rows=3, cols=3, dim=3, height=2, paths=3,
-             path_length=2, width=2, cycles=2, eps=0.1, p=0.12,
-             attach=2, d=4, beta=0.2, exponent=2.5)
-
 K = 5
 STEPS = 10
 
 
-def small_instance(family: str, seed: int):
-    """A small instance of ``family`` built through the registry."""
-    return registry.build_graph(family, seed=seed, **{**SMALL, "k": K})
-
-
-@pytest.mark.parametrize("family", registry.names())
-def test_every_family_monitor_matches_scratch_both_engines(family):
-    base = small_instance(family, seed=1)
+def _check_family_both_engines(family, **monitor_kwargs):
+    base = small_instance(family, seed=1, k=K)
     if base.n < 2:
         pytest.skip("churn needs at least two vertices")
     stream = build_stream(f"uniform-churn:steps={STEPS},p=0.5", base,
                           seed=11, k=K)
     monitors = {
-        engine: CkMonitor(stream.base, K, engine=engine, seed=7)
+        engine: CkMonitor(stream.base, K, engine=engine, seed=7,
+                          **monitor_kwargs)
         for engine in ("reference", "fast")
     }
-    # Step -1: initial verdicts agree with the oracle.
+    # Step -1: initial verdicts agree with the oracle, and both engines
+    # hold the same witness.
     expected = not has_k_cycle(base, K)
     for engine, monitor in monitors.items():
         assert monitor.accepted == expected, (family, engine, "init")
+    assert monitors["reference"].witness == monitors["fast"].witness, (
+        family, "init"
+    )
     for step, mutation in enumerate(stream.mutations, start=1):
         records = {
             engine: monitor.apply(mutation)
@@ -64,11 +58,26 @@ def test_every_family_monitor_matches_scratch_both_engines(family):
                     monitor.graph.has_edge(w[i], w[(i + 1) % K])
                     for i in range(K)
                 ), (family, engine, step, w)
-        # Both engines took the same decision path, not just the same
-        # verdict.
+        # Both engines took the same decision path and hold the same
+        # witness, not just the same verdict.
         assert records["reference"].action == records["fast"].action, (
             family, step
         )
+        assert ref.witness == monitors["fast"].witness, (family, step)
+
+
+@pytest.mark.parametrize("family", registry.names())
+def test_every_family_monitor_matches_scratch_both_engines(family):
+    _check_family_both_engines(family)
+
+
+@pytest.mark.parametrize("family", registry.names())
+def test_every_family_scan_witnesses_match_both_engines(family):
+    """One tester repetition per full re-test, so the exact scan (the
+    edge-axis kernel on ``fast``, the per-edge ball scan on
+    ``reference``) supplies the witness whenever that repetition
+    misses the cycle."""
+    _check_family_both_engines(family, tester_repetitions=1)
 
 
 def test_equivalence_gate_default_grid_both_engines():

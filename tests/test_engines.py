@@ -14,12 +14,16 @@ Layers covered here:
 * the campaign runner's ``engines`` factor (same seeds, same outcomes,
   resumable stores, backward-compatible run ids);
 * engine-name validation at the ``create_engine`` and CLI layers;
-* CLI ``--engine`` selection.
+* CLI ``--engine`` selection;
+* the ``fast`` Algorithm-1 kernel over an edge axis: every execution
+  equals ``run_detect`` through its edge, and ``first_cycle_edge``
+  equals the reference per-edge ball scan under any row budget.
 """
 
 import dataclasses
 
 import pytest
+from helpers import small_instance
 
 from repro.cli import main as cli_main
 from repro.congest.engine import (
@@ -39,6 +43,7 @@ from repro.core.algorithm1 import detect_cycle_through_edge
 from repro.core.tester import CkFreenessTester
 from repro.errors import BandwidthExceededError, ConfigurationError
 from repro.graphs.generators import cycle_graph, erdos_renyi_gnp, star_graph
+from repro.graphs.graph import Graph
 from repro.runner import CampaignSpec, CampaignStore, run_campaign
 from repro.runner import registry
 from repro.testing import (
@@ -403,6 +408,67 @@ class TestEngineCampaignFactor:
             assert ref["seed"] == fast["seed"], key
             assert ref["outcome"] == fast["outcome"], key
 
+    def test_monitor_rows_differ_only_by_the_scans_congest_runs(self, tmp_path):
+        # The reference exact scan runs detect_cycle_through_edge per edge
+        # (one CONGEST run and one detect.run span each); the fast scan
+        # records neither.  Monitor rows agree on the outcome and every
+        # other figure, and the reference row's extra runs and spans are
+        # exactly the scanned edges, so the report's `mean rounds` and
+        # `mean msgs` depend on the engine while the rest does not.
+        from repro.runner import summarize_store
+
+        spec = CampaignSpec(
+            name="engines-monitor",
+            generators=[{"family": "grid", "params": {"rows": 5, "cols": 6}}],
+            ks=[5],
+            epsilons=[0.1],
+            algorithms=["monitor"],
+            engines=["reference", "fast"],
+            streams=["uniform-churn:steps=20,p=0.5"],
+            repetitions=2,
+            seed=3,
+        )
+        store = CampaignStore(tmp_path / "m.jsonl")
+        run_campaign(spec.expand(), store, workers=1)
+        pairs = {}
+        for rec in store.records():
+            pairs.setdefault(rec["repetition"], {})[rec["engine"]] = rec
+        assert len(pairs) == 2
+
+        def engine_free(tel):
+            return {
+                name: value for name, value in tel.items()
+                if not name.startswith("repro_congest_")
+                and name != "repro_span_seconds"
+            }
+
+        def detect_spans(tel):
+            return tel["repro_span_seconds"]["span=detect.run"]["count"]
+
+        for pair in pairs.values():
+            ref, fast = pair["reference"], pair["fast"]
+            assert ref["outcome"] == fast["outcome"]
+            ref_tel, fast_tel = ref["telemetry"], fast["telemetry"]
+            assert engine_free(ref_tel) == engine_free(fast_tel)
+            scanned = (
+                fast_tel["repro_detect_runs_total"]
+                - fast["outcome"]["local_rechecks"]
+            )
+            assert scanned > 0
+            assert (
+                ref_tel["repro_congest_runs_total"]
+                - fast_tel["repro_congest_runs_total"]
+            ) == scanned
+            assert detect_spans(ref_tel) - detect_spans(fast_tel) == scanned
+        rows = {
+            row["engine"]: row
+            for row in summarize_store(store, group_by=("engine",)).rows
+        }
+        for column in ("rate", "cache_hit_rate", "mean_ball_size"):
+            assert rows["reference"][column] == rows["fast"][column]
+        assert rows["reference"]["mean_rounds"] > rows["fast"]["mean_rounds"]
+        assert rows["reference"]["mean_messages"] > rows["fast"]["mean_messages"]
+
     def test_reference_rows_keep_pre_engine_run_ids(self):
         # Backward compatibility: a reference-only grid must expand to the
         # same ids/seeds as before the engine factor existed, so old
@@ -473,3 +539,183 @@ class TestEngineCli:
                              "--k", "5", "--engine", engine]) == 0
             outputs[engine] = capsys.readouterr().out
         assert outputs["reference"] == outputs["fast"]
+
+
+def _rejections(run):
+    """``{vertex: cycle}`` of the rejecting vertices of one run."""
+    return {v: o.cycle for v, o in run.outputs.items() if o.rejects}
+
+
+def _kernel_rejections(fast, k):
+    """Every edge's ``{vertex: cycle}`` rejections from the kernel, block
+    by block, in edge-table order (``graph.edges()`` order under
+    identity IDs)."""
+    m = fast.network.graph.m
+    found = [{} for _ in range(m)]
+    lo = 0
+    while lo < m:
+        hi, rejects = fast._detect_edges(k, lo, m)
+        for slot, v, cycle in rejects:
+            found[lo + slot][v] = cycle
+        lo = hi
+    return found
+
+
+def _spy_broadcasts(monkeypatch):
+    """Record ``(executions, rows)`` for every edge-axis broadcast: how
+    many executions its pool holds and how many rows it delivers."""
+    from repro.congest.engine import fast as fast_mod
+
+    seen = []
+    broadcast = fast_mod.FastEngine._broadcast
+
+    def spy(self, pool):
+        recv = broadcast(self, pool)
+        seen.append((len(set(pool[0].tolist())), len(recv[0])))
+        return recv
+
+    monkeypatch.setattr(fast_mod.FastEngine, "_broadcast", spy)
+    return seen
+
+
+def _path_then(n_path, g):
+    """``g`` with its vertices renumbered after a path of ``n_path``
+    edges on vertices ``0..n_path``, so the path's light edges come
+    first in edge-table order."""
+    out = Graph(n_path + 1 + g.n)
+    for i in range(n_path):
+        out.add_edge(i, i + 1)
+    for u, v in g.edges():
+        out.add_edge(n_path + 1 + u, n_path + 1 + v)
+    return out
+
+
+def _serial_ball_scan(g, k):
+    """The reference scan: ``(edge index, witness)`` of the first edge
+    whose ⌊k/2⌋-ball detection rejects, or ``None``."""
+    from repro.dynamic.monitor import _detect_local
+
+    for i, edge in enumerate(g.edges()):
+        _, witness = _detect_local(g, edge, k, engine="reference")
+        if witness is not None:
+            return i, witness
+    return None
+
+
+SCAN_GRAPHS = [
+    pytest.param(n, p, seed, id=f"gnp{n}-{p}-s{seed}")
+    for n, p, seed in ((12, 0.3, 0), (20, 0.15, 1), (30, 0.1, 2))
+]
+
+
+class TestEdgeAxisScan:
+    """``FastEngine``'s Algorithm-1 kernel over an edge axis: every
+    execution equals ``run_detect`` through its edge, and
+    ``first_cycle_edge`` equals the reference per-edge ball scan."""
+
+    @pytest.mark.parametrize("n, p, seed", SCAN_GRAPHS)
+    def test_every_edge_matches_reference_run_detect(self, n, p, seed):
+        g = erdos_renyi_gnp(n, p, seed=seed)
+        net = Network(g)
+        ref, fast = (create_engine(name, net) for name in ENGINE_NAMES)
+        for k in range(3, 9):
+            want = [
+                _rejections(ref.run_detect(k, net.edge_ids(u, v)))
+                for u, v in g.edges()
+            ]
+            assert _kernel_rejections(fast, k) == want, k
+
+    @pytest.mark.parametrize("assigner", ASSIGNERS)
+    def test_kernel_takes_every_id_space(self, assigner):
+        # Large IDs overflow the packed sort key (lexsort path); permuted
+        # IDs order sequences apart from vertex order.
+        g = erdos_renyi_gnp(16, 0.25, seed=3)
+        net = Network(g, id_assigner=assigner)
+        ref, fast = (create_engine(name, net) for name in ENGINE_NAMES)
+        edges = sorted(g.edges(), key=lambda e: sorted(net.edge_ids(*e)))
+        for k in (5, 6):
+            want = [
+                _rejections(ref.run_detect(k, net.edge_ids(u, v)))
+                for u, v in edges
+            ]
+            assert _kernel_rejections(fast, k) == want, k
+
+    def test_every_family_matches_reference_run_detect(self):
+        for family in registry.names():
+            g = small_instance(family, seed=1, k=5)
+            net = Network(g)
+            ref, fast = (create_engine(name, net) for name in ENGINE_NAMES)
+            want = [
+                _rejections(ref.run_detect(5, net.edge_ids(u, v)))
+                for u, v in g.edges()
+            ]
+            assert _kernel_rejections(fast, 5) == want, family
+
+    @pytest.mark.parametrize("budget", [1, 37, None])
+    def test_first_cycle_edge_matches_serial_ball_scan(self, monkeypatch, budget):
+        from repro.congest.engine import fast as fast_mod
+        from repro.congest.engine.cache import EngineCache
+
+        if budget is not None:
+            monkeypatch.setattr(fast_mod, "_SCAN_ROW_BUDGET", budget)
+        budget = fast_mod._SCAN_ROW_BUDGET
+        blocks = []
+        detect_edges = fast_mod.FastEngine._detect_edges
+
+        def spy(self, k, lo, hi):
+            ran, rejects = detect_edges(self, k, lo, hi)
+            blocks.append((lo, hi, ran))
+            return ran, rejects
+
+        monkeypatch.setattr(fast_mod.FastEngine, "_detect_edges", spy)
+        broadcasts = _spy_broadcasts(monkeypatch)
+        # Sparse graphs: first hits from edge 0 to 62, and full scans.
+        for n, p, seed in ((40, 0.05, 1), (60, 0.04, 3), (60, 0.035, 4)):
+            g = erdos_renyi_gnp(n, p, seed=seed)
+            fast = EngineCache().get("fast", g)
+            for k in range(3, 9):
+                blocks.clear()
+                assert fast.first_cycle_edge(k) == _serial_ball_scan(g, k), (
+                    n, seed, k,
+                )
+                # Blocks start at one edge and run back to back; the next
+                # one doubles after a block that ran whole and keeps the
+                # cut size after a cut.  (The edge table's end may cut the
+                # last one short.)
+                lo, size = 0, 1
+                for start, asked, ran in blocks:
+                    assert start == lo and asked == min(g.m, lo + size)
+                    assert lo < ran <= asked
+                    size = (ran - lo) * (2 if ran == asked else 1)
+                    lo = ran
+        # No broadcast of two or more executions goes past the budget.
+        assert all(rows <= budget for ex, rows in broadcasts if ex > 1)
+
+    def test_blocks_stay_within_the_row_budget(self, monkeypatch):
+        # The path's light edges let blocks grow to 128 edges; the star's
+        # edges (hub, leaf) follow in edge-table order with pools of about
+        # 2 * 300 rows each, so an uncut block would hold ~7.7 * 10^4.
+        from repro.congest.engine import fast as fast_mod
+        from repro.congest.engine.cache import EngineCache
+
+        g = _path_then(127, star_graph(301))
+        broadcasts = _spy_broadcasts(monkeypatch)
+        fast = EngineCache().get("fast", g)
+        for k in (5, 6):
+            assert fast.first_cycle_edge(k) is None
+        assert max(rows for _, rows in broadcasts) <= fast_mod._SCAN_ROW_BUDGET
+
+    def test_dense_pools_over_budget_still_match(self, monkeypatch):
+        # One K_20 edge's k=8 pool alone exceeds the budget: the block
+        # that reaches the clique after the path's light edges is cut, the
+        # clique's first edge runs alone, and the hit still matches.
+        from repro.congest.engine import fast as fast_mod
+        from repro.congest.engine.cache import EngineCache
+
+        g = _path_then(40, registry.build_graph("complete", n=20))
+        broadcasts = _spy_broadcasts(monkeypatch)
+        fast = EngineCache().get("fast", g)
+        assert fast.first_cycle_edge(8) == _serial_ball_scan(g, 8)
+        budget = fast_mod._SCAN_ROW_BUDGET
+        assert any(ex == 1 and rows > budget for ex, rows in broadcasts)
+        assert all(rows <= budget for ex, rows in broadcasts if ex > 1)

@@ -201,3 +201,45 @@ class TestCliPlumbing:
         main(["--verbose", "test", "--generator", "cycle", "--n", "6",
               "--k", "6", "--eps", "0.3", "--seed", "3"])
         assert "# graph built n=6" in capsys.readouterr().out
+
+
+class TestMonitorTelemetryAcrossEngines:
+    def test_monitor_and_detect_telemetry_do_not_depend_on_engine(self):
+        """The exact scan reports the same counters and ``detect.scan``
+        spans on both engines, and ball sizes count local rechecks only."""
+        from repro.dynamic import CkMonitor, build_stream
+        from repro.obs import ListSink
+
+        stream = build_stream(
+            "uniform-churn:steps=40,p=0.5", cycle_graph(12), seed=1, k=5
+        )
+        views, scans = {}, {}
+        for engine in ENGINES:
+            sink = ListSink()
+            tel = Telemetry(sink=sink)
+            monitor = CkMonitor(
+                stream.base, 5, engine=engine, seed=1, tester_repetitions=1,
+                telemetry=tel,
+            )
+            monitor.run_stream(stream.mutations)
+            summary = tel.summary()
+            views[engine] = {
+                name: value for name, value in summary.items()
+                if name.startswith(("repro_monitor_", "repro_detect_"))
+            }
+            scans[engine] = [
+                (event["attrs"]["k"], event["attrs"]["edges"])
+                for event in sink.events
+                if event["type"] == "span" and event["name"] == "detect.scan"
+            ]
+            ball = summary["repro_monitor_ball_size"][""]
+            assert ball["count"] == monitor.stats.local_rechecks > 0
+            assert monitor.stats.full_retests > 0
+        assert views["reference"] == views["fast"]
+        assert scans["reference"] == scans["fast"]
+        # The scans ran and were counted as edge detections.
+        assert scans["fast"]
+        detect_runs = views["fast"]["repro_detect_runs_total"]
+        assert detect_runs == views["fast"]["repro_monitor_ball_size"][""][
+            "count"
+        ] + sum(edges for _, edges in scans["fast"])
