@@ -265,7 +265,7 @@ _FAST_PHASES = (
 
 def _run_fingerprint(run) -> tuple:
     """A run's verdict, evidence and per-round audit, comparable by ``==``."""
-    rejects = sorted((v, o.cycle) for v, o in run.outputs.items() if o.rejects)
+    rejects = [(v, run.outputs[v].cycle) for v in run.outputs.rejecting]
     rounds = [
         (s.messages, s.total_bits, s.max_message_bits, s.max_edge,
          s.max_sequences)
@@ -751,7 +751,7 @@ def fast_scale(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
         "network_ms": (t1 - t0) * 1e3,
         "compile_ms": (t2 - t1) * 1e3,
         "build_over_rep": build_over_rep,
-        "rejecting_vertices": sum(1 for o in run.outputs.values() if o.rejects),
+        "rejecting_vertices": len(run.outputs.rejecting),
     }
 
 

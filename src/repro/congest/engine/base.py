@@ -7,6 +7,11 @@ and one full repetition of the multiplexed tester
 :class:`~repro.congest.scheduler.RunResult` either way: per-vertex
 :class:`~repro.core.algorithm1.DetectionOutcome` outputs plus a
 bit-audited :class:`~repro.congest.instrumentation.ExecutionTrace`.
+The outputs are one sparse
+:class:`~repro.core.algorithm1.DetectionOutcomes` mapping over the
+vertices ``0..n-1``: it stores only the rejecting vertices and lists
+them in ascending order as ``rejecting``, so callers read a verdict
+without scanning ``n`` outcomes.
 
 Two backends ship with the reproduction:
 
@@ -128,14 +133,16 @@ class CongestEngine(ABC):
 
         This is the tester's engine entry point, called once per
         repetition; a completed run exports its trace aggregates to
-        telemetry before it returns."""
+        telemetry before it returns.  ``outputs`` is a
+        :class:`~repro.core.algorithm1.DetectionOutcomes`."""
 
     @abstractmethod
     def run_detect(
         self, k: int, edge_ids: Tuple[int, int], *, pruner=None
     ) -> RunResult:
         """Algorithm 1 for a fixed edge, given as a pair of node IDs
-        (``⌊k/2⌋`` communication rounds)."""
+        (``⌊k/2⌋`` communication rounds); ``outputs`` is a
+        :class:`~repro.core.algorithm1.DetectionOutcomes`."""
 
     # ------------------------------------------------------------------
     def _finish(self, run: RunResult) -> RunResult:

@@ -63,7 +63,8 @@ grid test.
 
 Requirements: numpy.  Node IDs are packed as their dense ranks, so the
 engine takes every ID space :class:`~repro.congest.network.Network`
-accepts (IDs below ``2**63``).
+accepts (IDs below ``2**63``); compile reads the ID array and the ranks
+that ``Network`` validated once (``id_array``, ``id_ranks``).
 """
 
 from __future__ import annotations
@@ -181,9 +182,9 @@ class FastEngine(CongestEngine):
                 "them individually); run with engine='reference'"
             )
         g = network.graph
-        ids = np.asarray(network.ids(), dtype=np.int64)
+        ids = network.id_array
         self._ids = ids
-        self._id_list: List[int] = ids.tolist()
+        self._id_list: Tuple[int, ...] = network.ids()
         indptr, indices = g.to_csr()
         self._indptr = indptr
         self._indices = indices
@@ -200,7 +201,7 @@ class FastEngine(CongestEngine):
         self._row_starts = indptr[self._rows]
         # Dense ID ranks order vertices as their IDs do, and pack into
         # int64 keys whatever the ID space (n**2 < 2**63).
-        _, id_rank = np.unique(ids, return_inverse=True)
+        id_rank = network.id_ranks
         src_rank = id_rank[he_src]
         dst_rank = id_rank[indices]
         # The canonical edge table, in (smaller ID, larger ID) order.
@@ -504,7 +505,7 @@ class FastEngine(CongestEngine):
         than :class:`~repro.core.pruning.HittingSetPruner`) and the
         evidence search at nodes that can still reject run per node.
         """
-        from ...core.algorithm1 import DetectionOutcome
+        from ...core.algorithm1 import DetectionOutcome, DetectionOutcomes
         from ...core.phase1 import protocol_rounds
         from ...core.pruning import HittingSetPruner
 
@@ -586,12 +587,9 @@ class FastEngine(CongestEngine):
         switched = (R != best_r) | (E != best_e)
         with prof.phase("decision"):
             found = self._decide(k, recv, pool, switched)
-        accept = DetectionOutcome(rejects=False)
-        outputs = dict.fromkeys(range(n), accept)
-        for v, cycle in found.items():
-            outputs[v] = DetectionOutcome(rejects=True, cycle=cycle)
+        rejects = {v: DetectionOutcome(True, cycle) for v, cycle in found.items()}
         assert trace.num_rounds == protocol_rounds(k)
-        return self._finish(RunResult(outputs, trace))
+        return self._finish(RunResult(DetectionOutcomes(n, rejects), trace))
 
     # ------------------------------------------------------------------
     def run_detect(
@@ -601,6 +599,7 @@ class FastEngine(CongestEngine):
         delivery, shared pure per-node instructions, aggregate audit."""
         from ...core.algorithm1 import (
             DetectionOutcome,
+            DetectionOutcomes,
             find_detection_evidence,
             phase2_rounds,
             process_phase2_round,
@@ -620,8 +619,7 @@ class FastEngine(CongestEngine):
         ids = self._id_list
         indptr, indices = self._indptr, self._indices
         trace = ExecutionTrace(n=n, m=g.m, size_model=self._size_model)
-        accept = DetectionOutcome(rejects=False)
-        outputs: Dict[int, DetectionOutcome] = {v: accept for v in range(n)}
+        rejects: Dict[int, DetectionOutcome] = {}
 
         # Round 1: the endpoints broadcast their singleton sequences.
         stats = self._begin_round(trace, 1)
@@ -695,8 +693,8 @@ class FastEngine(CongestEngine):
                     ids[v], k, sent.get(v, []), received
                 )
                 if cycle is not None:
-                    outputs[v] = DetectionOutcome(rejects=True, cycle=cycle)
-        return self._finish(RunResult(outputs, trace))
+                    rejects[v] = DetectionOutcome(rejects=True, cycle=cycle)
+        return self._finish(RunResult(DetectionOutcomes(n, rejects), trace))
 
     # ------------------------------------------------------------------
     # Algorithm 1 over an edge axis

@@ -59,7 +59,7 @@ class ReferenceEngine(CongestEngine):
                 ),
                 num_rounds=protocol_rounds(k),
             )
-        return self._finish(run)
+        return self._finish(_sparse(run))
 
     def run_detect(
         self, k: int, edge_ids: Tuple[int, int], *, pruner=None
@@ -73,4 +73,12 @@ class ReferenceEngine(CongestEngine):
                 lambda ctx: DetectCkProgram(ctx, k, edge_ids, pruner=pruner),
                 num_rounds=phase2_rounds(k),
             )
-        return self._finish(run)
+        return self._finish(_sparse(run))
+
+
+def _sparse(run: RunResult) -> RunResult:
+    """``run`` with the scheduler's per-vertex outcome dict wrapped as
+    the engines' sparse :class:`~repro.core.algorithm1.DetectionOutcomes`."""
+    from ...core.algorithm1 import DetectionOutcomes
+
+    return RunResult(DetectionOutcomes.of(run.outputs), run.trace)

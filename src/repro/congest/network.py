@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import CongestError
 from ..graphs.graph import Graph
 from .ids import IdAssigner, IdentityIds
@@ -16,9 +18,6 @@ from .message import SizeModel
 from .node import NodeContext
 
 __all__ = ["Network"]
-
-#: IDs are int64 values in the array engine and its rank keys.
-_MAX_ID = 1 << 63
 
 
 class Network:
@@ -33,6 +32,9 @@ class Network:
     id_assigner:
         Strategy mapping vertex indices to CONGEST IDs: ``n`` distinct
         integers in ``[0, 2**63)``, else :class:`~repro.errors.CongestError`.
+        The array engine and its rank keys read them as int64 values
+        (:attr:`id_array`, :attr:`id_ranks`), converted and checked once
+        here.
     """
 
     def __init__(
@@ -42,19 +44,39 @@ class Network:
     ) -> None:
         self._graph = graph
         assigner = id_assigner if id_assigner is not None else IdentityIds()
-        ids = assigner.assign(graph.n)
-        if len(ids) != graph.n or len(set(ids)) != graph.n:
+        n = graph.n
+        ids = assigner.assign(n)
+        if len(ids) != n:
             raise CongestError("ID assignment must give n distinct IDs")
-        if ids and min(ids) < 0:
+        try:
+            id_array = np.array(ids, dtype=np.int64)
+        except OverflowError:
+            if min(ids) < 0:
+                raise CongestError("IDs must be non-negative") from None
+            raise CongestError("IDs must be below 2**63") from None
+        # One argsort checks the IDs and ranks them: duplicates sit next
+        # to each other in sorted order, and the vertex at sorted
+        # position i has dense rank i.
+        order = np.argsort(id_array)
+        by_id = id_array[order]
+        if (by_id[1:] == by_id[:-1]).any():
+            raise CongestError("ID assignment must give n distinct IDs")
+        if n and by_id[0] < 0:
             raise CongestError("IDs must be non-negative")
-        if ids and max(ids) >= _MAX_ID:
-            raise CongestError("IDs must be below 2**63")
-        self._ids: List[int] = ids
-        self._index_of: Dict[int, int] = {nid: v for v, nid in enumerate(ids)}
-        self._id_space = assigner.id_space(graph.n)
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[order] = np.arange(n)
+        id_array.flags.writeable = False
+        ranks.flags.writeable = False
+        self._ids: Tuple[int, ...] = tuple(ids)
+        self._id_array = id_array
+        self._id_ranks = ranks
+        # Built on first vertex_of() call: only Algorithm 1's endpoint
+        # lookup and the per-node scheduler map IDs back to vertices.
+        self._index_of: Optional[Dict[int, int]] = None
+        self._id_space = assigner.id_space(n)
         # Built on first context() call: only the per-node scheduler
         # reads contexts, and the array engines never do.
-        self._contexts: List[Optional[NodeContext]] = [None] * graph.n
+        self._contexts: List[Optional[NodeContext]] = [None] * n
 
     # ------------------------------------------------------------------
     @property
@@ -83,14 +105,28 @@ class Network:
 
     def vertex_of(self, node_id: int) -> int:
         """Vertex index of a CONGEST ID."""
+        index_of = self._index_of
+        if index_of is None:
+            index_of = self._index_of = {nid: v for v, nid in enumerate(self._ids)}
         try:
-            return self._index_of[node_id]
+            return index_of[node_id]
         except KeyError:
             raise CongestError(f"unknown node ID {node_id}") from None
 
     def ids(self) -> Tuple[int, ...]:
         """All IDs, indexed by vertex."""
-        return tuple(self._ids)
+        return self._ids
+
+    @property
+    def id_array(self) -> np.ndarray:
+        """All IDs as one read-only int64 array, indexed by vertex."""
+        return self._id_array
+
+    @property
+    def id_ranks(self) -> np.ndarray:
+        """Each vertex's dense ID rank, read-only int64: the position of
+        its ID among the sorted IDs, so ranks order vertices as IDs do."""
+        return self._id_ranks
 
     def context(self, vertex: int) -> NodeContext:
         """The (immutable) context handed to the program at this vertex."""

@@ -33,11 +33,17 @@ __all__ = ["SynchronousScheduler", "RunResult"]
 
 
 class RunResult:
-    """Outputs and trace of one scheduled run."""
+    """Outputs and trace of one scheduled run.
+
+    A scheduler run's ``outputs`` is a dict of whatever each node's
+    ``on_finish`` returned.  An engine run's is the sparse
+    :class:`~repro.core.algorithm1.DetectionOutcomes` mapping, which
+    reads like that dict and also lists its rejecting vertices.
+    """
 
     __slots__ = ("outputs", "trace")
 
-    def __init__(self, outputs: Dict[int, Any], trace: ExecutionTrace):
+    def __init__(self, outputs: Mapping[int, Any], trace: ExecutionTrace):
         #: vertex index -> whatever ``on_finish`` returned
         self.outputs = outputs
         self.trace = trace

@@ -39,7 +39,8 @@ edge-by-edge against the input graph).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from numbers import Integral
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .._types import IdSequence
 from ..congest.message import SequenceBundle
@@ -53,6 +54,7 @@ from .sequences import drop_containing, sort_sequences
 __all__ = [
     "DetectCkProgram",
     "DetectionOutcome",
+    "DetectionOutcomes",
     "EdgeDetectionResult",
     "phase2_rounds",
     "detect_cycle_through_edge",
@@ -77,6 +79,59 @@ class DetectionOutcome:
 
     rejects: bool
     cycle: Optional[Tuple[int, ...]] = None
+
+
+_ACCEPT = DetectionOutcome(rejects=False)
+
+
+class DetectionOutcomes(Mapping[int, DetectionOutcome]):
+    """The per-vertex outputs of one engine run, stored sparsely.
+
+    A read-only mapping over the vertices ``0..n-1`` that stores only
+    the rejecting ones: every other vertex maps to the accepting
+    outcome.  :attr:`rejecting` lists the rejecting vertices in
+    ascending order, so a verdict needs no scan of all ``n`` outcomes.
+    Indexing, iteration (in vertex order), ``.items()`` and ``==``
+    against an equal plain dict work as on the dict it stands for.
+
+    ``rejects`` maps each rejecting vertex to its outcome.
+    """
+
+    __slots__ = ("_n", "_rejects", "_rejecting")
+
+    def __init__(self, n: int, rejects: Mapping[int, DetectionOutcome]) -> None:
+        self._n = n
+        self._rejects = dict(rejects)
+        self._rejecting = tuple(sorted(self._rejects))
+
+    @classmethod
+    def of(cls, outputs: Mapping[int, DetectionOutcome]) -> "DetectionOutcomes":
+        """The sparse form of a dense ``{vertex: outcome}`` mapping over
+        ``0..n-1``."""
+        return cls(len(outputs), {v: o for v, o in outputs.items() if o.rejects})
+
+    @property
+    def rejecting(self) -> Tuple[int, ...]:
+        """The rejecting vertices, ascending."""
+        return self._rejecting
+
+    def __getitem__(self, v: int) -> DetectionOutcome:
+        out = self._rejects.get(v)
+        if out is not None:
+            return out
+        # Plain ints first: an isinstance check against the ABC is slow.
+        if (type(v) is int or isinstance(v, Integral)) and 0 <= v < self._n:
+            return _ACCEPT
+        raise KeyError(v)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._n))
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __repr__(self) -> str:
+        return f"DetectionOutcomes(n={self._n}, rejecting={self._rejecting})"
 
 
 class DetectCkProgram(NodeProgram):
@@ -230,20 +285,21 @@ class EdgeDetectionResult:
     """Outcome of running Algorithm 1 on a whole network for one edge."""
 
     detected: bool
-    #: vertex index -> DetectionOutcome
-    outcomes: Dict[int, DetectionOutcome]
+    #: vertex index -> DetectionOutcome (the run's sparse outputs)
+    outcomes: DetectionOutcomes
     run: RunResult
 
     @property
     def rejecting_vertices(self) -> List[int]:
-        """Vertex indices that output reject."""
-        return [v for v, o in self.outcomes.items() if o.rejects]
+        """Vertex indices that output reject, ascending."""
+        return list(self.outcomes.rejecting)
 
     def any_cycle_ids(self) -> Optional[Tuple[int, ...]]:
         """Some witnessed cycle (node IDs), if any node produced one."""
-        for o in self.outcomes.values():
-            if o.cycle is not None:
-                return o.cycle
+        for v in self.outcomes.rejecting:
+            cycle = self.outcomes[v].cycle
+            if cycle is not None:
+                return cycle
         return None
 
 
@@ -313,8 +369,8 @@ def detect_cycle_through_edge(
     edge_ids = net.edge_ids(u, v)
     with tel.span("detect.run", k=k, engine=engine):
         result = eng.run_detect(k, edge_ids, pruner=pruner)
-    outcomes: Dict[int, DetectionOutcome] = result.outputs
-    detected = any(o.rejects for o in outcomes.values())
+    outcomes: DetectionOutcomes = result.outputs
+    detected = bool(outcomes.rejecting)
     record_detections(tel, engine, 1, int(detected))
     return EdgeDetectionResult(detected=detected, outcomes=outcomes, run=result)
 

@@ -28,7 +28,6 @@ from ..congest.engine import ensure_engine_available, create_engine
 from ..congest.network import Network
 from ..errors import ConfigurationError
 from ..graphs.graph import Graph
-from .algorithm1 import DetectionOutcome
 from .bounds import repetitions_needed, rounds_per_repetition
 from .pruning import HittingSetPruner, Pruner
 from .verdict import RepetitionReport, TesterResult
@@ -174,15 +173,12 @@ class CkFreenessTester:
                 run = eng.run_tester_repetition(
                     self.k, int(rep_seeds[i]), pruner=self._pruner
                 )
-                rejecting = tuple(
-                    v
-                    for v, out in run.outputs.items()
-                    if isinstance(out, DetectionOutcome) and out.rejects
-                )
+                outputs = run.outputs
+                rejecting = outputs.rejecting
                 cycle = None
                 for v in rejecting:
-                    if run.outputs[v].cycle is not None:
-                        cycle = run.outputs[v].cycle
+                    if outputs[v].cycle is not None:
+                        cycle = outputs[v].cycle
                         break
                 rejected = bool(rejecting)
                 result.reports.append(

@@ -60,12 +60,25 @@ class Graph:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         self._n = n
         self._m = 0
-        self._adj: List[Set[int]] = [set() for _ in range(n)]
+        adj: List[Set[int]] = [set() for _ in range(n)]
+        self._adj = adj
         self._sorted_cache: List[Tuple[int, ...]] | None = None
         self._csr_cache: Tuple[np.ndarray, np.ndarray] | None = None
         self._hash_cache: str | None = None
+        # A new edge between two distinct in-range plain ints is inserted
+        # and counted inline; every other pair goes through add_edge,
+        # which counts it, collapses it or raises with its usual message.
+        inline = 0
         for u, v in edges:
+            if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n:
+                nbrs = adj[u]
+                if u != v and v not in nbrs:
+                    nbrs.add(v)
+                    adj[v].add(u)
+                    inline += 1
+                    continue
             self.add_edge(u, v, strict=strict)
+        self._m += inline
 
     # ------------------------------------------------------------------
     # Mutation

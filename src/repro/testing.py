@@ -247,8 +247,10 @@ def compare_engines_once(
     against it.  A tester comparison runs one repetition under ``seed``
     through every engine's
     :meth:`~repro.congest.engine.CongestEngine.run_tester_repetition`.
-    Compared per run: the rejecting-vertex set, each rejector's cycle
-    evidence, the round count, and the per-round audit aggregates
+    Compared per run: the rejecting-vertex set (scanned over every
+    vertex's outcome, and as the outputs' ascending ``rejecting``
+    tuple), each rejector's cycle evidence, the round count, and the
+    per-round audit aggregates
     (message count, total/max bits, the edge carrying the first maximum,
     max sequences per message).
     """
@@ -279,6 +281,9 @@ def _run_differences(a, b) -> List[Tuple[str, str]]:
     ra, rb = _reject_set(a), _reject_set(b)
     if ra != rb:
         out.append(("rejecting_vertices", f"{sorted(ra)} != {sorted(rb)}"))
+    if a.outputs.rejecting != b.outputs.rejecting:
+        out.append(("rejecting",
+                    f"{a.outputs.rejecting} != {b.outputs.rejecting}"))
     for v in ra & rb:
         if a.outputs[v].cycle != b.outputs[v].cycle:
             out.append(("cycle", f"vertex {v}: "

@@ -1,6 +1,7 @@
 """Tests for the CONGEST simulator: scheduler semantics, delivery,
 instrumentation, ID assignment and the size model."""
 
+import numpy as np
 import pytest
 
 from repro.congest import (
@@ -317,19 +318,74 @@ class TestSizeModel:
             SequenceBundle(frozenset({[1, 2]}))  # type: ignore[arg-type]
 
 
+class FixedIds(IdentityIds):
+    """Hands out a fixed ID list whatever ``n`` is."""
+
+    def __init__(self, ids):
+        self._ids = ids
+
+    def assign(self, n):
+        return list(self._ids)
+
+
 class TestIdAssignmentInvariance:
     def test_duplicate_ids_rejected(self):
         class BadIds(IdentityIds):
             def assign(self, n):
                 return [0] * n
 
-        with pytest.raises(CongestError):
+        with pytest.raises(CongestError) as exc:
             Network(path_graph(3), BadIds())
+        assert str(exc.value) == "ID assignment must give n distinct IDs"
 
     def test_negative_ids_rejected(self):
         class NegIds(IdentityIds):
             def assign(self, n):
                 return list(range(-1, n - 1))
 
-        with pytest.raises(CongestError):
+        with pytest.raises(CongestError) as exc:
             Network(path_graph(3), NegIds())
+        assert str(exc.value) == "IDs must be non-negative"
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            pytest.param([0, 1], "ID assignment must give n distinct IDs",
+                         id="wrong-length"),
+            pytest.param([-(2 ** 63) - 1, 1, 2], "IDs must be non-negative",
+                         id="below-int64"),
+            pytest.param([0, 2 ** 63, 1], "IDs must be below 2**63",
+                         id="2**63"),
+        ],
+    )
+    def test_single_fault_message(self, ids, message):
+        with pytest.raises(CongestError) as exc:
+            Network(path_graph(3), FixedIds(ids))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "assigner",
+        [IdentityIds(), ReverseIds(), RandomPermutationIds(seed=3), SpreadIds()],
+        ids=lambda a: type(a).__name__,
+    )
+    def test_id_array_and_dense_ranks(self, assigner):
+        net = Network(erdos_renyi_gnm(30, 45, seed=2), assigner)
+        ids = list(net.ids())
+        by_id = sorted(ids)
+        assert net.id_array.dtype == np.int64
+        assert net.id_array.tolist() == ids
+        assert net.id_ranks.dtype == np.int64
+        assert net.id_ranks.tolist() == [by_id.index(i) for i in ids]
+        for arr in (net.id_array, net.id_ranks):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_vertex_of_on_first_use(self):
+        net = Network(path_graph(4), ReverseIds())
+        assert net.vertex_of(0) == 3
+        assert [net.vertex_of(net.node_id(v)) for v in range(4)] == [0, 1, 2, 3]
+        with pytest.raises(CongestError, match="unknown node ID 9"):
+            net.vertex_of(9)
+        with pytest.raises(CongestError, match="unknown node ID 4"):
+            Network(path_graph(4)).vertex_of(4)

@@ -22,6 +22,7 @@ Layers covered here:
 
 import dataclasses
 
+import numpy as np
 import pytest
 from helpers import small_instance
 
@@ -39,7 +40,11 @@ from repro.congest.ids import (
     SpreadIds,
 )
 from repro.congest.network import Network
-from repro.core.algorithm1 import detect_cycle_through_edge
+from repro.core.algorithm1 import (
+    DetectionOutcome,
+    DetectionOutcomes,
+    detect_cycle_through_edge,
+)
 from repro.core.tester import CkFreenessTester
 from repro.errors import BandwidthExceededError, ConfigurationError
 from repro.graphs.generators import cycle_graph, erdos_renyi_gnp, star_graph
@@ -128,8 +133,10 @@ class TestSharedRanks:
 
         g = cycle_graph(5)
         net = Network(g, TopIds(2 ** 63 - 1))
+        assert net.id_array[0] == 2 ** 63 - 1
+        assert net.id_ranks.tolist() == [4, 3, 2, 1, 0]
         assert compare_engines_once(g, 5, 1, network=net) == []
-        with pytest.raises(CongestError, match=r"2\*\*63"):
+        with pytest.raises(CongestError, match=r"^IDs must be below 2\*\*63$"):
             Network(g, TopIds(2 ** 63))
 
 
@@ -374,6 +381,82 @@ class TestCrossEngineEquivalence:
             detect_tripped.update(r[0] for r in expected if r is not None)
         assert tripped == {1, 2, 3, 4}
         assert detect_tripped == {1, 2, 3}
+
+
+class TestSparseOutcomes:
+    """Engine runs return :class:`DetectionOutcomes`: a read-only mapping
+    over ``0..n-1`` that stores only the rejecting vertices."""
+
+    def test_mapping_reads_like_the_dict(self):
+        rejects = {
+            4: DetectionOutcome(rejects=True, cycle=(0, 1, 2, 3, 4)),
+            1: DetectionOutcome(rejects=True, cycle=(4, 3, 2, 1, 0)),
+        }
+        out = DetectionOutcomes(6, rejects)
+        dense = {v: rejects.get(v, DetectionOutcome(rejects=False))
+                 for v in range(6)}
+        assert len(out) == 6
+        assert list(out) == [0, 1, 2, 3, 4, 5]
+        assert list(out.items()) == list(dense.items())
+        assert out == dense and dense == out
+        assert out != {**dense, 0: DetectionOutcome(rejects=True, cycle=(9,))}
+        assert out != {v: o for v, o in dense.items() if v < 5}
+        assert out.rejecting == (1, 4)
+        assert out[np.int64(4)] is rejects[4]
+        assert out[np.int64(2)] == DetectionOutcome(rejects=False)
+        assert DetectionOutcomes.of(dense) == out
+        for bad in (-1, 6, "0", None):
+            with pytest.raises(KeyError):
+                out[bad]
+        assert 5 in out and 6 not in out
+        with pytest.raises(TypeError):
+            out[0] = rejects[4]
+        with pytest.raises(AttributeError):
+            out.rejecting = ()
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_engine_runs_return_the_mapping(self, engine):
+        g = erdos_renyi_gnp(12, 0.4, seed=1)
+        eng = create_engine(engine, Network(g, ReverseIds()))
+        runs = [eng.run_tester_repetition(5, s) for s in range(6)]
+        runs += [eng.run_detect(5, e) for e in ((0, 1), (2, 3))]
+        assert any(run.outputs.rejecting for run in runs)
+        for run in runs:
+            assert isinstance(run.outputs, DetectionOutcomes)
+            assert len(run.outputs) == g.n
+            assert run.outputs.rejecting == tuple(
+                v for v, o in run.outputs.items() if o.rejects
+            )
+
+    def test_reference_under_faults_returns_the_mapping(self):
+        from repro.congest.faults import DropFaults
+
+        net = Network(cycle_graph(5))
+        eng = create_engine("reference", net, faults=DropFaults(0.3, seed=2))
+        for run in (eng.run_detect(5, (0, 1)), eng.run_tester_repetition(5, 1)):
+            assert isinstance(run.outputs, DetectionOutcomes)
+            assert run.outputs.rejecting == tuple(
+                v for v, o in run.outputs.items() if o.rejects
+            )
+
+    def test_edge_detection_reads_rejecting(self):
+        det = detect_cycle_through_edge(cycle_graph(5), (0, 1), 5, engine="fast")
+        assert isinstance(det.outcomes, DetectionOutcomes)
+        assert det.detected and det.rejecting_vertices == [3]
+        assert det.any_cycle_ids() == det.outcomes[3].cycle
+
+    def test_compare_engines_once_compares_rejecting(self):
+        from repro.congest.scheduler import RunResult
+        from repro.testing import _run_differences
+
+        run = create_engine("fast", Network(cycle_graph(5))).run_detect(5, (0, 1))
+        assert run.outputs.rejecting
+        bad = DetectionOutcomes(
+            len(run.outputs), {v: run.outputs[v] for v in run.outputs.rejecting}
+        )
+        bad._rejecting = ()
+        assert [f for f, _ in _run_differences(run, RunResult(bad, run.trace))] \
+            == ["rejecting"]
 
 
 class TestEngineCampaignFactor:

@@ -1,9 +1,13 @@
 """Hypothesis property tests on the graph substrate itself."""
 
+import numpy as np
+import pytest
 from helpers import graphs
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.graphs import dumps, loads
+from repro.errors import GraphError
+from repro.graphs import Graph, dumps, loads
 from repro.graphs.properties import (
     bipartition,
     degree_histogram,
@@ -101,3 +105,52 @@ class TestIoRoundtripProperty:
     @given(g=graphs())
     def test_roundtrip(self, g):
         assert loads(dumps(g)) == g
+
+
+@st.composite
+def messy_edge_lists(draw):
+    """``(n, pairs)``: valid pairs mixed with self-loops, negative and
+    ``>= n`` endpoints, floats, strings, ``None``, bools, ``np.int64``
+    endpoints, and duplicates in both orientations."""
+    n = draw(st.integers(0, 8))
+    valid = st.integers(0, max(n - 1, 0))
+    endpoint = st.one_of(
+        valid,
+        valid,
+        valid,
+        st.integers(-3, n + 3),
+        valid.map(np.int64),
+        st.sampled_from([0.0, 1.5, "0", "a", None, True]),
+    )
+    pairs = draw(st.lists(st.tuples(endpoint, endpoint), max_size=16))
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+            at = draw(st.integers(0, len(pairs)))
+            pairs.insert(at, (v, u) if draw(st.booleans()) else (u, v))
+    return n, pairs
+
+
+class TestConstructorMatchesAddEdge:
+    """``Graph(n, edges)`` validates plain in-range pairs inline; every
+    pair must land exactly as one ``add_edge`` call per pair would."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=messy_edge_lists(), strict=st.booleans())
+    # A negative endpoint must raise, not wrap around the adjacency list.
+    @example(case=(3, [(0, 1), (-1, 1)]), strict=True)
+    def test_same_graph_or_same_error(self, case, strict):
+        n, pairs = case
+        expected = Graph(n)
+        try:
+            for u, v in pairs:
+                expected.add_edge(u, v, strict=strict)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as got:
+                Graph(n, pairs, strict=strict)
+            assert str(got.value) == str(exc)
+            return
+        g = Graph(n, pairs, strict=strict)
+        assert g == expected
+        assert g.m == expected.m
+        assert g.content_hash() == expected.content_hash()
+        g.validate()
