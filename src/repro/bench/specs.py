@@ -277,11 +277,20 @@ def _run_fingerprint(run) -> tuple:
 #: Ceilings on phase ms per repetition, in units of one
 #: ``np.minimum.reduceat`` over the half-edges at the CSR row starts
 #: timed in the same run (no phase under test touches it).  Measured at
-#: n = 5000 and 10^5: min_select 4.6-6.4x, round_apply 4.2-6.3x,
-#: decision 2.3-3.5x.  A per-round lexsort min_select reads 68-77x,
-#: per-node round-2 sends 212-240x in round_apply, and a decision
-#: without the Lemma-1 prefilter 218-341x.
-_PHASE_CEILINGS = {"min_select": 15.0, "round_apply": 10.0, "decision": 8.0}
+#: n = 5000 and 10^5 on a 2-core host: min_select 2.1-4.1x,
+#: priority_mux 10.5-18.3x, round_apply 4.2-8.2x, decision 2.2-5.2x.  A
+#: per-round lexsort min_select reads 68-77x, tags held as two arrays
+#: (rank, edge) 25-41x in priority_mux, per-node round-2 sends 212-240x
+#: in round_apply, and a decision without the Lemma-1 prefilter
+#: 218-341x.  Under a whole smoke suite on two workers the ratios
+#: wander: one such run read 30.3x for priority_mux and 10.2x for
+#: decision, and two-array tags read 20.7x in another.
+_PHASE_CEILINGS = {
+    "min_select": 15.0,
+    "priority_mux": 22.0,
+    "round_apply": 10.0,
+    "decision": 8.0,
+}
 
 
 def _reduceat_ms(indptr: np.ndarray, samples: int = 20) -> float:
@@ -314,9 +323,9 @@ def fast_phases(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     and audited bits summed over the repetitions are exact integer
     metrics.  Asserts that, where the case asks, the reference engine
     gives identical fingerprints — verdict, evidence and every round's
-    audit — and that ``min_select``, ``round_apply`` and ``decision``
-    stay under their :data:`_PHASE_CEILINGS` in units of a
-    ``np.minimum.reduceat`` over the half-edges.
+    audit — and that ``min_select``, ``priority_mux``, ``round_apply``
+    and ``decision`` stay under their :data:`_PHASE_CEILINGS` in units
+    of a ``np.minimum.reduceat`` over the half-edges.
     """
     from ..congest.engine import PhaseProfiler, create_engine
     from ..congest.network import Network

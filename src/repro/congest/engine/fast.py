@@ -12,13 +12,15 @@ per round with vectorized array operations:
   construction.
 * **Minimum-rank selection and the §3.1 priority rule** are segmented
   minima over CSR rows (:func:`segmented_min`): each node's current
-  execution tag is a ``(rank, edge index)`` pair held in two int64
-  arrays — the edge index is the edge's row in the ``(a, b)``-sorted
+  execution tag is one int64 that orders as its ``(rank, edge index)``
+  pair — the edge index is the edge's row in the ``(a, b)``-sorted
   canonical edge table, so ``(rank, edge)`` order is exactly the
-  reference ``(rank, a, b)`` order — and the per-round multiplexing
-  (take the lexicographically smallest tag among your own and your
-  sending neighbours') is two ``np.minimum.reduceat`` passes over the
-  half-edge arrays: O(H) work, no sort.
+  reference ``(rank, a, b)`` order.  The tag is ``rank·m + edge`` up to
+  ``_PACKED_MAX_M`` edges, and the edge's position in one stable sort
+  of the ranks beyond.  The per-round multiplexing (take the smallest
+  tag among your own and your sending neighbours') is one
+  ``np.minimum.reduceat`` pass over the half-edge arrays: O(H) work,
+  no sort.
 * **Sequence processing** (Instructions 10–27 and the final decision)
   holds each repetition's sequences as int64 ID pools — node ``v``'s
   are the rows ``ptr[v]:ptr[v + 1]`` of one ``(rows, t)`` matrix — so
@@ -82,9 +84,14 @@ from .base import CongestEngine
 
 __all__ = ["FastEngine", "priority_mux", "segmented_min"]
 
-#: Sentinel rank (and edge index) for "no tag"; real ranks are in
-#: [1, m**2] and edge indices in [0, m).
+#: Sentinel tag for "no tag": every real tag is below it.
 _INF = np.int64(1) << np.int64(62)
+
+#: Largest edge count whose tags pack as ``rank * m + edge``: ranks lie
+#: in [1, m**2], so every packed tag is below ``m**3 + m``, and this is
+#: the largest m with ``m**3 + m < _INF``.  Larger graphs take dense
+#: positions from a stable sort instead (``_edge_tags``).
+_PACKED_MAX_M = 1_664_510
 
 #: One round's sequences of one repetition (see ``FastEngine._pool``).
 Pool = Tuple[np.ndarray, np.ndarray]
@@ -99,73 +106,71 @@ EdgePool = Tuple[np.ndarray, np.ndarray, np.ndarray]
 _SCAN_ROW_BUDGET = 4096
 
 
+def _edge_tags(rank: np.ndarray) -> np.ndarray:
+    """One int64 execution tag per edge, in ``(rank, edge)`` order.
+
+    ``rank[e]`` is edge ``e``'s Phase-1 rank.  Tags are distinct, below
+    ``_INF``, and ``tag[e] < tag[f]`` exactly when ``(rank[e], e) <
+    (rank[f], f)``.  Up to ``_PACKED_MAX_M`` edges the tag is ``rank·m +
+    e``; beyond, it is the edge's position in one stable ``argsort`` of
+    the ranks, which keeps tied ranks in edge order.
+    """
+    m = len(rank)
+    if m <= _PACKED_MAX_M:
+        return rank * m + np.arange(m, dtype=np.int64)
+    tags = np.empty(m, dtype=np.int64)
+    tags[np.argsort(rank, kind="stable")] = np.arange(m, dtype=np.int64)
+    return tags
+
+
 def segmented_min(
-    r: np.ndarray,
-    e: np.ndarray,
+    t: np.ndarray,
     starts: np.ndarray,
     rows: np.ndarray,
-    own_r: np.ndarray,
-    own_e: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row lexicographic minimum of ``(rank, edge)`` tags over CSR rows.
+    own: np.ndarray,
+) -> np.ndarray:
+    """Per-row minimum tag over CSR rows.
 
-    ``r`` holds the ``H`` candidate ranks and ``e`` their edge indices,
-    laid out in CSR order: segment ``i`` is entries ``starts[i]`` up to
-    ``starts[i + 1]`` (the last one up to ``H``) and belongs to output
-    row ``rows[i]``.  ``starts`` lists the non-empty segments only and
-    begins at 0; ``rows`` ascends.
+    ``t`` holds the ``H`` candidate tags (``_edge_tags``) in CSR
+    order: segment ``i`` is entries ``starts[i]`` up to ``starts[i + 1]``
+    (the last one up to ``H``) and belongs to output row ``rows[i]``.
+    ``starts`` lists the non-empty segments only and begins at 0;
+    ``rows`` ascends.
 
-    Each output row starts from its own tag ``(own_r, own_e)`` — the
-    sentinel ``_INF`` meaning "no tag" — and returns the smallest rank
-    among it and its segment, then the smallest edge among the tags
-    tying that rank.  Rows outside ``rows`` keep their own tag.  Two
-    ``np.minimum.reduceat`` passes: O(H) work, no sort.
+    Each output row starts from its own tag ``own`` — the sentinel
+    ``_INF`` meaning "no tag" — and returns the smallest tag among it and
+    its segment.  Rows outside ``rows`` keep their own tag.  One
+    ``np.minimum.reduceat`` pass: O(H) work, no sort.
     """
-    best_r = own_r.copy()
-    best_e = own_e.copy()
-    if not len(rows):
-        return best_r, best_e
-    mine_r, mine_e = best_r[rows], best_e[rows]
-    min_r = np.minimum(np.minimum.reduceat(r, starts), mine_r)
-    tie = r == np.repeat(min_r, np.diff(starts, append=len(r)))
-    min_e = np.minimum.reduceat(np.where(tie, e, _INF), starts)
-    best_r[rows] = min_r
-    best_e[rows] = np.where(mine_r == min_r, np.minimum(min_e, mine_e), min_e)
-    return best_r, best_e
+    best = own.copy()
+    if len(rows):
+        best[rows] = np.minimum(np.minimum.reduceat(t, starts), own[rows])
+    return best
 
 
 def priority_mux(
-    R: np.ndarray,
-    E: np.ndarray,
+    T: np.ndarray,
     sending: np.ndarray,
     he_src: np.ndarray,
     he_dst: np.ndarray,
     starts: np.ndarray,
     rows: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """The §3.1 priority rule for every receiver, vectorized.
 
-    ``R``/``E``/``sending`` are every node's current tag and send flag;
+    ``T``/``sending`` are every node's current tag and send flag;
     ``he_src``/``he_dst`` are the half-edges in CSR order, and
-    ``starts``/``rows`` their non-empty segments as
-    :func:`segmented_min` takes them.  Returns the winning tags — each
-    node's lexicographic minimum of its own tag and its sending
-    neighbours' — and a per-half-edge mask of the messages that survive
-    the rule (sender's tag equals the receiver's winner).
+    ``starts``/``rows`` their non-empty segments as :func:`segmented_min`
+    takes them; every sending node's tag is below ``_INF``.  Returns
+    ``(best, matches)``: each node's winning tag — the minimum of its own
+    and its sending neighbours' — and a per-half-edge mask of the
+    messages that survive the rule (the sender sends, and its tag equals
+    the receiver's winner).  Senders are masked per node, before the one
+    gather of tags over the half-edges.
     """
-    send_mask = sending[he_dst]
-    nb_r = R[he_dst]
-    nb_e = E[he_dst]
-    best_r, best_e = segmented_min(
-        np.where(send_mask, nb_r, _INF),
-        np.where(send_mask, nb_e, _INF),
-        starts,
-        rows,
-        R,
-        E,
-    )
-    matches = send_mask & (nb_r == best_r[he_src]) & (nb_e == best_e[he_src])
-    return best_r, best_e, matches
+    nb = np.where(sending, T, _INF)[he_dst]
+    best = segmented_min(nb, starts, rows, T)
+    return best, (nb == best[he_src]) & (nb != _INF)
 
 
 class FastEngine(CongestEngine):
@@ -208,8 +213,12 @@ class FastEngine(CongestEngine):
         # Both half-edges of an edge share its key, and each edge has one
         # owned half-edge (src ID < dst ID) and one other, so sorting
         # each half by key lists the edges in the same order.
-        key = np.minimum(src_rank, dst_rank) * n + np.maximum(src_rank, dst_rank)
+        # (Built in place: at n = 10^5 each fresh temporary of H entries
+        # costs page faults.)
         owned = src_rank < dst_rank
+        key = np.minimum(src_rank, dst_rank)
+        key *= n
+        key += np.maximum(src_rank, dst_rank, out=src_rank)
 
         def in_edge_order(half: np.ndarray) -> np.ndarray:
             he = np.flatnonzero(half)
@@ -228,8 +237,11 @@ class FastEngine(CongestEngine):
         self._edge_b = ids[indices[mine]]
         # Half-edges by (receiving vertex, sender ID), packed like the
         # edge table (keys are unique).  This is the order of the
-        # round-2 seeds each node receives.
-        self._he_by_id = np.argsort(he_src * n + dst_rank)
+        # round-2 seeds each node receives.  (Its keys reuse src_rank's
+        # buffer, which nothing reads any more.)
+        by_id = np.multiply(he_src, n, out=src_rank)
+        by_id += dst_rank
+        self._he_by_id = np.argsort(by_id)
         # Reference rank outboxes go out by owner vertex, each in
         # ascending neighbour-ID order: the round-1 audit's first
         # delivery is the first owned half-edge in that order.
@@ -526,14 +538,11 @@ class FastEngine(CongestEngine):
         # Round 2 — per-node minimum incident tag; every non-isolated
         # node broadcasts its seed sequence under it.
         with prof.phase("min_select"):
-            no_tag = np.full(n, _INF, dtype=np.int64)
-            R, E = segmented_min(
-                edge_rank[self._edge_of_he],
-                self._edge_of_he,
+            T = segmented_min(
+                _edge_tags(edge_rank)[self._edge_of_he],
                 starts,
                 rows,
-                no_tag,
-                no_tag,
+                np.full(n, _INF, dtype=np.int64),
             )
         sending = self._degrees > 0
         pool = self._pool(self._ids[rows][:, None], sending.astype(np.int64))
@@ -551,9 +560,7 @@ class FastEngine(CongestEngine):
         # Rounds 3..1+⌊k/2⌋ — prioritized multiplexed Phase 2.
         for t in range(2, k // 2 + 1):
             with prof.phase("priority_mux"):
-                R, E, matched = priority_mux(
-                    R, E, sending, he_src, he_dst, starts, rows
-                )
+                T, matched = priority_mux(T, sending, he_src, he_dst, starts, rows)
             if t == 2 and closed_form:
                 with prof.phase("round_apply"):
                     pool = self._seed_round(matched, k)
@@ -576,15 +583,13 @@ class FastEngine(CongestEngine):
                 )
 
         # Final decision (no further communication round).  At this
-        # point pool / (R, E) hold the final round's sends and the tags
-        # they were sent under.
+        # point pool / T hold the final round's sends and the tags they
+        # were sent under.
         with prof.phase("priority_mux"):
-            best_r, best_e, matched = priority_mux(
-                R, E, sending, he_src, he_dst, starts, rows
-            )
+            best, matched = priority_mux(T, sending, he_src, he_dst, starts, rows)
             recv = self._gather(matched, pool)
         # Nodes whose winning tag moved off the one they last sent under.
-        switched = (R != best_r) | (E != best_e)
+        switched = T != best
         with prof.phase("decision"):
             found = self._decide(k, recv, pool, switched)
         rejects = {v: DetectionOutcome(True, cycle) for v, cycle in found.items()}

@@ -19,7 +19,6 @@ Behrend-style constructions live in :mod:`repro.graphs.behrend`.
 
 from __future__ import annotations
 
-import math
 from typing import List, Tuple
 
 import numpy as np
@@ -174,22 +173,23 @@ def erdos_renyi_gnm(n: int, m: int, seed=None) -> Graph:
     if m > max_m:
         raise ConfigurationError(f"m={m} exceeds max {max_m} for n={n}")
     rng = _rng(seed)
-    chosen = rng.choice(max_m, size=m, replace=False)
-    g = Graph(n)
-    for code in np.sort(chosen).tolist():
-        # Decode linear index into the upper triangle.
-        u = int((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * code)) // 2)
-        # Adjust for floating point boundary cases.
-        while _tri_offset(n, u + 1) <= code:
-            u += 1
-        while _tri_offset(n, u) > code:
-            u -= 1
-        v = u + 1 + (code - _tri_offset(n, u))
-        g.add_edge(int(u), int(v))
-    return g
+    codes = np.sort(rng.choice(max_m, size=m, replace=False))
+    # Decode linear indices into the upper triangle: a float estimate of
+    # each row, then integer steps until every code lies in its row.
+    b = 2.0 * n - 1.0
+    u = ((b - np.sqrt(b * b - 8.0 * codes)) // 2).astype(np.int64)
+    while True:
+        up = _tri_offset(n, u + 1) <= codes
+        down = _tri_offset(n, u) > codes
+        if not (up.any() or down.any()):
+            break
+        u += up
+        u -= down
+    v = u + 1 + (codes - _tri_offset(n, u))
+    return Graph.from_canonical_edge_arrays(n, u, v)
 
 
-def _tri_offset(n: int, u: int) -> int:
+def _tri_offset(n: int, u: np.ndarray) -> np.ndarray:
     """Linear index of edge (u, u+1) in the row-major upper triangle."""
     return u * n - u * (u + 1) // 2
 

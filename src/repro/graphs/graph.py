@@ -13,6 +13,14 @@ happen in readers: a graph shared between threads needs the same
 external serialisation of reads against mutations that the sorted
 neighbour cache has always needed.
 
+Until its first edge removal a graph also logs the endpoints of every
+edge it inserts, in insertion order, as two int lists: the constructor,
+:meth:`Graph.add_edge` and :meth:`Graph.from_canonical_edge_arrays` all
+append to it, :meth:`Graph.add_vertex` keeps it and :meth:`Graph.copy`
+copies it.  The CSR export sorts that log in array passes instead of
+iterating the adjacency sets; a graph that has seen a removal exports
+from the sets.
+
 ``networkx`` interop lives in :mod:`repro.graphs.convert` so that the hot
 path never imports networkx.
 """
@@ -47,7 +55,15 @@ class Graph:
         surface early.
     """
 
-    __slots__ = ("_n", "_m", "_adj", "_sorted_cache", "_csr_cache", "_hash_cache")
+    __slots__ = (
+        "_n",
+        "_m",
+        "_adj",
+        "_log",
+        "_sorted_cache",
+        "_csr_cache",
+        "_hash_cache",
+    )
 
     def __init__(
         self,
@@ -62,23 +78,29 @@ class Graph:
         self._m = 0
         adj: List[Set[int]] = [set() for _ in range(n)]
         self._adj = adj
+        # The endpoints of every inserted edge, in insertion order, until
+        # the first removal: to_csr sorts them instead of the sets.
+        log_u: List[int] = []
+        log_v: List[int] = []
+        self._log: Tuple[List[int], List[int]] | None = (log_u, log_v)
         self._sorted_cache: List[Tuple[int, ...]] | None = None
         self._csr_cache: Tuple[np.ndarray, np.ndarray] | None = None
         self._hash_cache: str | None = None
         # A new edge between two distinct in-range plain ints is inserted
-        # and counted inline; every other pair goes through add_edge,
-        # which counts it, collapses it or raises with its usual message.
-        inline = 0
+        # and logged inline; every other pair goes through add_edge,
+        # which logs it, collapses it or raises with its usual message.
+        # Either way each edge is logged once, so the log counts them.
         for u, v in edges:
             if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n:
                 nbrs = adj[u]
                 if u != v and v not in nbrs:
                     nbrs.add(v)
                     adj[v].add(u)
-                    inline += 1
+                    log_u.append(u)
+                    log_v.append(v)
                     continue
             self.add_edge(u, v, strict=strict)
-        self._m += inline
+        self._m = len(log_u)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -96,6 +118,9 @@ class Graph:
         self._adj[u].add(v)
         self._adj[v].add(u)
         self._m += 1
+        if self._log is not None:
+            self._log[0].append(u)
+            self._log[1].append(v)
         self._sorted_cache = None
         self._csr_cache = None
         self._hash_cache = None
@@ -109,6 +134,7 @@ class Graph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._m -= 1
+        self._log = None
         self._sorted_cache = None
         self._csr_cache = None
         self._hash_cache = None
@@ -218,10 +244,12 @@ class Graph:
         return comps
 
     def copy(self) -> "Graph":
-        """Deep copy."""
+        """Deep copy (the insertion log too: the copy mutates its own)."""
         g = Graph(self._n)
         g._m = self._m
         g._adj = [set(s) for s in self._adj]
+        log = self._log
+        g._log = None if log is None else (list(log[0]), list(log[1]))
         return g
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
@@ -255,10 +283,12 @@ class Graph:
         """
         g = cls(n)
         adj = g._adj
-        for u, v in zip(us.tolist(), vs.tolist()):
+        us, vs = us.tolist(), vs.tolist()
+        for u, v in zip(us, vs):
             adj[u].add(v)
             adj[v].add(u)
         g._m = len(us)
+        g._log = (us, vs)
         return g
 
     def relabel(self, permutation: Sequence[int]) -> "Graph":
@@ -287,32 +317,51 @@ class Graph:
         """Adjacency as CSR ``(indptr, indices)`` int64 arrays.
 
         Row ``u`` of ``indices`` lists ``u``'s neighbours in ascending
-        order.  The pair is built in three array passes (degrees, the
-        flattened adjacency sets, one sort of ``row * n + neighbour``
-        keys) and memoised until the next mutation, so both arrays are
-        shared between callers and marked read-only.
+        order.  Both arrays come from one sort of ``row * n + neighbour``
+        keys.  A graph that has seen no removal takes the keys and the
+        degrees from its insertion log, in array passes; otherwise they
+        come from the adjacency sets.  The pair is memoised until the
+        next mutation, so both arrays are shared between callers and
+        marked read-only.
         """
         csr = self._csr_cache
         if csr is None:
             n = self._n
-            adj = self._adj
-            degrees = np.fromiter(map(len, adj), dtype=np.int64, count=n)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(degrees, out=indptr[1:])
-            indices = np.fromiter(
-                itertools.chain.from_iterable(adj),
-                dtype=np.int64,
-                count=int(indptr[-1]),
-            )
             # As row * n + neighbour keys, each row's entries sort within
             # the row's own slots: one sort orders every row.
-            offsets = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
-            indices += offsets
-            indices.sort()
-            indices -= offsets
+            if self._log is None:
+                adj = self._adj
+                degrees = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+                keys = np.fromiter(
+                    itertools.chain.from_iterable(adj),
+                    dtype=np.int64,
+                    count=int(degrees.sum()),
+                )
+                offsets = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
+                keys += offsets
+                keys.sort()
+                keys -= offsets
+            else:
+                # Both orientations of every logged edge, written in place:
+                # at n = 10^5 each fresh temporary costs page faults.
+                log_u, log_v = self._log
+                m = len(log_u)
+                us = np.fromiter(log_u, dtype=np.int64, count=m)
+                vs = np.fromiter(log_v, dtype=np.int64, count=m)
+                degrees = np.bincount(us, minlength=n)
+                degrees += np.bincount(vs, minlength=n)
+                keys = np.empty(2 * m, dtype=np.int64)
+                np.multiply(us, n, out=keys[:m])
+                keys[:m] += vs
+                np.multiply(vs, n, out=keys[m:])
+                keys[m:] += us
+                keys.sort()
+                keys %= n
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(degrees, out=indptr[1:])
             indptr.flags.writeable = False
-            indices.flags.writeable = False
-            csr = self._csr_cache = (indptr, indices)
+            keys.flags.writeable = False
+            csr = self._csr_cache = (indptr, keys)
         return csr
 
     def edge_array(self) -> np.ndarray:

@@ -383,6 +383,20 @@ class TestCrossEngineEquivalence:
         assert detect_tripped == {1, 2, 3}
 
 
+class TestDenseTagBranch(TestCrossEngineEquivalence):
+    """Beyond ``_PACKED_MAX_M`` edges the fast tester's tags are dense
+    positions from a stable sort of the ranks.  No small graph reaches
+    that size, so the constant is lowered to 0 and every parity check of
+    :class:`TestCrossEngineEquivalence` runs again on that branch."""
+
+    @pytest.fixture(autouse=True)
+    def dense_tags(self, monkeypatch):
+        from repro.congest.engine import fast as fast_mod
+
+        monkeypatch.setattr(fast_mod, "_PACKED_MAX_M", 0)
+        assert fast_mod._edge_tags(np.array([2, 1, 2])).tolist() == [1, 0, 2]
+
+
 class TestSparseOutcomes:
     """Engine runs return :class:`DetectionOutcomes`: a read-only mapping
     over ``0..n-1`` that stores only the rejecting vertices."""

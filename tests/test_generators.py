@@ -123,6 +123,31 @@ class TestRandomFamilies:
             assert g.m == m
             g.validate()
 
+    # Content hashes recorded with the per-edge decoder (one sqrt and
+    # one add_edge per edge); the array decoder must reproduce them.  The
+    # last case is the graph scalability.fast_scale measures.
+    @pytest.mark.parametrize(
+        "n, m, seed, digest",
+        [
+            (10, 0, 3, "da917b9eae15358f485f29fcf445db37"
+                       "a637e0515ee7493351a0d68931758da5"),
+            (10, 45, 3, "3698c771f69fd0950a2803bdd870d272"
+                        "f75a0692de38e1e33131738915f7ce4a"),
+            (50, 200, 7, "49491319d07707ae7a6d347a1fd323e1"
+                         "39a0539f605b163533b6cb006f9399fc"),
+            (1000, 3000, 11, "f2d61bfef6edf59a4588afea297b5888"
+                             "9a456fa9bc31940c2633139d20a054fd"),
+            (50_000, 20, 4, "e397881126a4ba5cbd4cc1e3e871916d"
+                            "0bd2549269391a75ca293b4e8fa6e508"),
+            (100_000, 200_000, 1, "e0b1f7863ba363532a15d6fc03c82617"
+                                  "3c50b1909e227505ca4d953ee7f88a5f"),
+        ],
+    )
+    def test_gnm_seeded_output_is_pinned(self, n, m, seed, digest):
+        g = erdos_renyi_gnm(n, m, seed=seed)
+        assert (g.n, g.m) == (n, m)
+        assert g.content_hash() == digest
+
     def test_gnm_too_many(self):
         with pytest.raises(ConfigurationError):
             erdos_renyi_gnm(5, 11)

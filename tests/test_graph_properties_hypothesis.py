@@ -154,3 +154,88 @@ class TestConstructorMatchesAddEdge:
         assert g.m == expected.m
         assert g.content_hash() == expected.content_hash()
         g.validate()
+
+
+def _assert_csr_matches_neighbors(g):
+    """``g.to_csr()`` equals CSR arrays built from ``neighbors()``
+    alone, and is read-only."""
+    rows = [g.neighbors(u) for u in g.vertices()]
+    indptr, indices = g.to_csr()
+    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+    assert indices.tolist() == [w for r in rows for w in r]
+    assert not indptr.flags.writeable
+    assert not indices.flags.writeable
+
+
+@st.composite
+def graph_op_sequences(draw):
+    """``(n, pairs, strict, ops)``: a constructor call, then mutations.
+
+    Pairs mix plain ints with ``np.int64`` endpoints, both orientations
+    and, under ``strict=False``, duplicates.  Each op names the live
+    graph it acts on by index (``copy``, ``arrays`` and ``subgraph`` add
+    a live graph), so a copy and its source are mutated apart."""
+    n = draw(st.integers(2, 8))
+    valid = st.integers(0, n - 1)
+    endpoint = st.one_of(valid, valid, valid.map(np.int64))
+    strict = draw(st.booleans())
+    pairs = draw(
+        st.lists(
+            st.tuples(endpoint, endpoint).filter(lambda p: p[0] != p[1]),
+            max_size=14,
+        )
+    )
+    if strict:
+        # strict=True raises on a duplicate: keep each edge's first pair.
+        first = {}
+        for u, v in pairs:
+            first.setdefault(frozenset((int(u), int(v))), (u, v))
+        pairs = list(first.values())
+    op = st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 9), endpoint, endpoint),
+        st.tuples(st.just("remove"), st.integers(0, 9), st.integers(0, 99)),
+        st.tuples(st.just("vertex"), st.integers(0, 9)),
+        st.tuples(st.just("copy"), st.integers(0, 9)),
+        st.tuples(st.just("arrays"), st.integers(0, 9)),
+        st.tuples(
+            st.just("subgraph"), st.integers(0, 9), st.randoms(use_true_random=False)
+        ),
+    )
+    return n, pairs, strict, draw(st.lists(op, max_size=12))
+
+
+class TestCsrFromTheInsertionLog:
+    """``to_csr()`` exports from the insertion log until the first
+    removal and from the adjacency sets after it; after every operation
+    it must equal the ``neighbors()`` oracle, read-only, on every graph
+    the sequence has made."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=graph_op_sequences())
+    def test_every_op_keeps_the_export_exact(self, case):
+        n, pairs, strict, ops = case
+        live = [Graph(n, pairs, strict=strict)]
+        _assert_csr_matches_neighbors(live[0])
+        for op in ops:
+            g = live[op[1] % len(live)]
+            kind = op[0]
+            if kind == "add":
+                u, v = op[2] % g.n, op[3] % g.n
+                if u != v:
+                    g.add_edge(u, v, strict=False)
+            elif kind == "remove" and g.m:
+                g.remove_edge(*g.edge_list()[op[2] % g.m])
+            elif kind == "vertex":
+                g.add_vertex()
+            elif kind == "copy":
+                live.append(g.copy())
+            elif kind == "arrays":
+                arr = g.edge_array()
+                live.append(Graph.from_canonical_edge_arrays(g.n, arr[:, 0], arr[:, 1]))
+            elif kind == "subgraph":
+                keep = [v for v in g.vertices() if op[2].random() < 0.7]
+                op[2].shuffle(keep)
+                live.append(g.subgraph(keep))
+            for h in live:
+                _assert_csr_matches_neighbors(h)

@@ -2,20 +2,35 @@
 
 :func:`~repro.congest.engine.fast.segmented_min` and
 :func:`~repro.congest.engine.fast.priority_mux` replace a per-round sort
-with per-row ``np.minimum.reduceat`` passes.  Here they are checked
-against a brute-force per-node lexicographic minimum on random CSR
-graphs that have isolated vertices at the first, a middle and the last
-row, ranks from a tiny range (ties that only the edge index breaks),
-and nodes none of whose neighbours send.
+with one ``np.minimum.reduceat`` pass over int64 tags that order as
+``(rank, edge)`` pairs.  Here they are checked against a brute-force
+per-node minimum over those pairs on random CSR graphs that have
+isolated vertices at the first, a middle and the last row, ranks from
+{1, 2} (ties that only the edge index breaks), and nodes none of whose
+neighbours send — on both tag branches: ``rank·m + edge`` and dense
+positions from a stable sort, forced by lowering ``_PACKED_MAX_M``.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.congest.engine import fast
 from repro.congest.engine.fast import _INF, priority_mux, segmented_min
 
 INF = int(_INF)
+
+#: ``_PACKED_MAX_M`` values selecting each tag branch for m >= 1:
+#: ``rank·m + edge``, then dense positions.
+LIMITS = (fast._PACKED_MAX_M, 0)
+
+
+def _tags(rank, limit):
+    """The engine's tags of ``rank`` with ``_PACKED_MAX_M = limit``."""
+    with mock.patch.object(fast, "_PACKED_MAX_M", limit):
+        return fast._edge_tags(rank)
 
 
 @st.composite
@@ -43,7 +58,13 @@ def csr_instances(draw):
         [edge_index[(min(v, w), max(v, w))] for v, w in zip(he_src, he_dst)],
         dtype=np.int64,
     )
-    m = max(len(edges), 1)
+    m = len(edges)
+    # Most nodes hold some edge's tag; isolated ones and a few others
+    # hold none (-1) and never send.  Sparse senders leave many nodes
+    # hearing from no one.
+    own_edge = rng.integers(0, m, size=n) if m else np.full(n, -1)
+    own_edge[sorted(isolated)] = -1
+    own_edge[rng.random(n) < 0.15] = -1
     return {
         "n": n,
         "indptr": indptr,
@@ -54,10 +75,8 @@ def csr_instances(draw):
         "edge_of": lambda v, w: edge_index[(min(v, w), max(v, w))],
         # Ranks in {1, 2}: most minima are ties broken by the edge.
         "edge_rank": rng.integers(1, 3, size=m),
-        "R": rng.integers(1, 3, size=n),
-        "E": rng.integers(0, m, size=n),
-        # Sparse senders: many nodes hear from no neighbour at all.
-        "sending": rng.random(n) < 0.3,
+        "own_edge": own_edge,
+        "sending": (rng.random(n) < 0.3) & (own_edge >= 0),
     }
 
 
@@ -68,6 +87,11 @@ def _segments(inst):
     return indptr[rows], rows
 
 
+def _pair(inst, e):
+    """Edge ``e``'s ``(rank, edge)`` pair: the order tags must keep."""
+    return int(inst["edge_rank"][e]), int(e)
+
+
 SETTINGS = settings(
     max_examples=150, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
@@ -75,42 +99,81 @@ SETTINGS = settings(
 
 
 @SETTINGS
-@given(csr_instances())
-def test_segmented_min_is_the_minimum_incident_tag(inst):
-    n = inst["n"]
-    starts, rows = _segments(inst)
-    he_edge = inst["he_edge"]
-    no_tag = np.full(n, INF, dtype=np.int64)
-    best_r, best_e = segmented_min(
-        inst["edge_rank"][he_edge], he_edge, starts, rows, no_tag, no_tag,
-    )
-    for v in range(n):
-        tags = [
-            (int(inst["edge_rank"][inst["edge_of"](v, w)]),
-             inst["edge_of"](v, w))
-            for w in inst["adj"][v]
-        ]
-        expected = min(tags) if tags else (INF, INF)
-        assert (best_r[v], best_e[v]) == expected
+@given(rank=st.lists(st.integers(1, 2), max_size=60))
+def test_tags_are_injective_and_keep_rank_edge_order(rank):
+    rank = np.array(rank, dtype=np.int64)
+    m = len(rank)
+    # Sorting by tag is sorting by (rank, edge).
+    order = sorted(range(m), key=lambda e: (rank[e], e))
+    for limit in LIMITS:
+        tags = _tags(rank, limit)
+        assert tags.dtype == np.int64 and tags.shape == (m,)
+        assert len(set(tags.tolist())) == m
+        assert ((tags >= 0) & (tags < INF)).all()
+        assert np.argsort(tags).tolist() == order
+
+
+def test_packing_limit_is_the_largest_m_below_the_sentinel():
+    m = fast._PACKED_MAX_M
+    assert m**3 + m < INF <= (m + 1) ** 3 + (m + 1)
+
+
+def test_branches_meet_at_the_packing_limit():
+    """The limit itself packs (its largest rank m² included, below the
+    sentinel); one more edge takes dense positions in the same order."""
+    m = fast._PACKED_MAX_M
+    rank = np.random.default_rng(7).integers(1, 3, size=m + 1)
+    rank[m - 1] = m * m
+    packed = fast._edge_tags(rank[:m])
+    assert (packed == rank[:m] * m + np.arange(m)).all()
+    assert packed[m - 1] == m**3 + m - 1 < INF
+    dense = fast._edge_tags(rank)
+    assert (np.sort(dense) == np.arange(m + 1)).all()
+    # The extra edge has the largest index, so dropping it from the dense
+    # order leaves the packed order.
+    order = np.argsort(dense)
+    assert (order[order < m] == np.argsort(packed)).all()
 
 
 @SETTINGS
-@given(csr_instances())
-def test_priority_mux_matches_brute_force(inst):
+@given(inst=csr_instances())
+def test_segmented_min_is_the_minimum_incident_tag(inst):
     n = inst["n"]
-    R, E, sending = inst["R"], inst["E"], inst["sending"]
+    starts, rows = _segments(inst)
+    for limit in LIMITS:
+        tags = _tags(inst["edge_rank"], limit)
+        best = segmented_min(
+            tags[inst["he_edge"]], starts, rows, np.full(n, INF, dtype=np.int64)
+        )
+        for v in range(n):
+            incident = [inst["edge_of"](v, w) for w in inst["adj"][v]]
+            if incident:
+                e = min(incident, key=lambda e: _pair(inst, e))
+                assert best[v] == tags[e]
+            else:
+                assert best[v] == INF
+
+
+@SETTINGS
+@given(inst=csr_instances())
+def test_priority_mux_matches_brute_force(inst):
+    n, m = inst["n"], len(inst["edge_rank"])
+    own, sending = inst["own_edge"], inst["sending"]
     starts, rows = _segments(inst)
     src, dst = inst["he_src"], inst["he_dst"]
-    best_r, best_e, matches = priority_mux(R, E, sending, src, dst, starts, rows)
-    assert best_r.shape == best_e.shape == (n,)
-    assert matches.shape == (len(src),)
-    best = {}
+    winner = {}
     for v in range(n):
-        tags = [(R[v], E[v])] + [
-            (R[w], E[w]) for w in inst["adj"][v] if sending[w]
-        ]
-        best[v] = min(tags)
-        assert (best_r[v], best_e[v]) == best[v]
-    for h, (v, w) in enumerate(zip(src, dst)):
-        survives = bool(sending[w]) and (R[w], E[w]) == best[v]
-        assert matches[h] == survives
+        held = [own[v]] + [own[w] for w in inst["adj"][v] if sending[w]]
+        held = [e for e in held if e >= 0]
+        winner[v] = min(held, key=lambda e: _pair(inst, e)) if held else -1
+    for limit in LIMITS:
+        tags = _tags(inst["edge_rank"], limit)
+        T = np.where(own >= 0, tags[own] if m else INF, INF)
+        best, matches = priority_mux(T, sending, src, dst, starts, rows)
+        assert best.shape == (n,)
+        assert matches.shape == (len(src),)
+        for v in range(n):
+            assert best[v] == (tags[winner[v]] if winner[v] >= 0 else INF)
+        for h, (v, w) in enumerate(zip(src, dst)):
+            survives = bool(sending[w]) and own[w] == winner[v]
+            assert matches[h] == survives
