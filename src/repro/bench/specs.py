@@ -276,15 +276,18 @@ def _run_fingerprint(run) -> tuple:
 
 #: Ceilings on phase ms per repetition, in units of one
 #: ``np.minimum.reduceat`` over the half-edges at the CSR row starts
-#: timed in the same run (no phase under test touches it).  Measured at
-#: n = 5000 and 10^5 on a 2-core host: min_select 2.1-4.1x,
-#: priority_mux 10.5-18.3x, round_apply 4.2-8.2x, decision 2.2-5.2x.  A
-#: per-round lexsort min_select reads 68-77x, tags held as two arrays
-#: (rank, edge) 25-41x in priority_mux, per-node round-2 sends 212-240x
-#: in round_apply, and a decision without the Lemma-1 prefilter
-#: 218-341x.  Under a whole smoke suite on two workers the ratios
-#: wander: one such run read 30.3x for priority_mux and 10.2x for
-#: decision, and two-array tags read 20.7x in another.
+#: timed in the same run (no phase under test touches it).  Measured by
+#: the engines area alone at n = 5000 on a 2-core host (5 runs):
+#: min_select 1.0-3.8x, priority_mux 3.4-4.2x, round_apply 2.1-2.7x,
+#: decision 2.8-3.8x; the kernel of per-row reductions and a full final
+#: gather read 2.1-2.5x, 9.2-9.9x, 4.4-5.7x and 2.8-3.3x (3 runs; a
+#: fourth failed on decision at 9.5x).  A per-round lexsort min_select
+#: reads 68-77x, tags held as two arrays (rank, edge) 25-41x in
+#: priority_mux, per-node round-2 sends 212-240x in round_apply, and a
+#: decision without the Lemma-1 prefilter 218-341x.  Under a whole smoke
+#: suite on two workers the ratios wander: one such run read 30.3x for
+#: priority_mux and 10.2x for decision, and two-array tags read 20.7x in
+#: another.
 _PHASE_CEILINGS = {
     "min_select": 15.0,
     "priority_mux": 22.0,

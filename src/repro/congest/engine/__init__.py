@@ -34,12 +34,14 @@ from typing import Tuple
 from ...errors import ConfigurationError
 from ..network import Network
 from .base import CongestEngine
+from .fast import FastEngine
 from .profiler import (
     NULL_PROFILER,
     NullProfiler,
     PhaseProfiler,
     validate_profile,
 )
+from .reference import ReferenceEngine
 
 __all__ = [
     "ENGINE_NAMES",
@@ -75,9 +77,5 @@ def create_engine(spec: str, network: Network, **kwargs) -> CongestEngine:
     """
     ensure_engine_available(spec)
     if spec == "reference":
-        from .reference import ReferenceEngine
-
         return ReferenceEngine(network, **kwargs)
-    from .fast import FastEngine
-
     return FastEngine(network, **kwargs)

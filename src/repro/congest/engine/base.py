@@ -46,9 +46,11 @@ from abc import ABC, abstractmethod
 from typing import Optional, Tuple
 
 from ...errors import ConfigurationError
+from ...obs import resolve_telemetry
 from ..message import SizeModel
 from ..network import Network
 from ..scheduler import RunResult
+from .profiler import NULL_PROFILER
 
 __all__ = ["CongestEngine"]
 
@@ -96,9 +98,6 @@ class CongestEngine(ABC):
         telemetry=None,
         profiler=None,
     ) -> None:
-        from ...obs import resolve_telemetry
-        from .profiler import NULL_PROFILER
-
         self._net = network
         self._size_model = (
             size_model if size_model is not None else network.default_size_model()

@@ -44,9 +44,11 @@ import numpy as np
 
 from ...errors import ConfigurationError
 from ...graphs.graph import Graph
+from ...obs import resolve_telemetry
 from ..network import Network
 from . import create_engine, ensure_engine_available
 from .base import CongestEngine
+from .profiler import NULL_PROFILER
 
 __all__ = ["EngineCache"]
 
@@ -91,9 +93,6 @@ class EngineCache:
         as ``Network(graph)`` assigns).  Never pass a fault model through
         this path — fault runs must bypass the cache.
         """
-        from ...obs import resolve_telemetry
-        from .profiler import NULL_PROFILER
-
         ensure_engine_available(spec)  # surface bad names before hashing
         key = ("engine", str(spec), bool(strict_bandwidth), graph.content_hash())
         eng = self._entries.get(key)
@@ -178,8 +177,6 @@ class EngineCache:
     # Cache metrics: process-global registry only (see module docstring).
     # ------------------------------------------------------------------
     def _record(self, *, hit: bool) -> None:
-        from ...obs import resolve_telemetry
-
         if hit:
             self.hits += 1
         else:
@@ -198,8 +195,6 @@ class EngineCache:
             self._publish_bytes(tel)
 
     def _record_eviction(self) -> None:
-        from ...obs import resolve_telemetry
-
         tel = resolve_telemetry(None)
         if tel.enabled:
             tel.counter(
@@ -208,8 +203,6 @@ class EngineCache:
             ).inc()
 
     def _publish_bytes(self, tel=None) -> None:
-        from ...obs import resolve_telemetry
-
         tel = tel if tel is not None else resolve_telemetry(None)
         if tel.enabled:
             tel.gauge(

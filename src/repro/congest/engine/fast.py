@@ -10,25 +10,29 @@ per round with vectorized array operations:
   canonical edge table — the very function each reference node calls
   over its owned edges, so both engines draw the same ranks by
   construction.
-* **Minimum-rank selection and the §3.1 priority rule** are segmented
-  minima over CSR rows (:func:`segmented_min`): each node's current
-  execution tag is one int64 that orders as its ``(rank, edge index)``
-  pair — the edge index is the edge's row in the ``(a, b)``-sorted
-  canonical edge table, so ``(rank, edge)`` order is exactly the
-  reference ``(rank, a, b)`` order.  The tag is ``rank·m + edge`` up to
-  ``_PACKED_MAX_M`` edges, and the edge's position in one stable sort
-  of the ranks beyond.  The per-round multiplexing (take the smallest
-  tag among your own and your sending neighbours') is one
-  ``np.minimum.reduceat`` pass over the half-edge arrays: O(H) work,
-  no sort.
+* **Minimum-rank selection and the §3.1 priority rule** are scattered
+  minima (:func:`segmented_min`): each node's current execution tag is
+  one int64 that orders as its ``(rank, edge index)`` pair — the edge
+  index is the edge's row in the ``(a, b)``-sorted canonical edge table,
+  so ``(rank, edge)`` order is exactly the reference ``(rank, a, b)``
+  order.  The tag is ``rank·m + edge`` up to ``_PACKED_MAX_M`` edges,
+  and the edge's position in one stable sort of the ranks beyond.
+  Selection scatters each edge's tag to its two endpoints; the
+  per-round multiplexing (take the smallest tag among your own and your
+  sending neighbours') scatters over the half-edges.  Both are
+  ``np.minimum.at`` passes: O(m) work per round, no sort and no per-row
+  cost.
 * **Sequence processing** (Instructions 10–27 and the final decision)
   holds each repetition's sequences as int64 ID pools — node ``v``'s
-  are the rows ``ptr[v]:ptr[v + 1]`` of one ``(rows, t)`` matrix — so
-  delivery is one array gather, the default pruner's round-2 sends are
-  a closed form (each node's first ``k − 1`` matched neighbours by ID),
-  and the decision is prefiltered by Lemma 1 (a node whose decision
-  inputs all start at one endpoint cannot reject).  Python runs per
-  node only for the greedy pruner at rounds ``t ≥ 3`` and for the
+  are the rows ``ptr[v]:ptr[v + 1]`` of one ``(rows, t)`` matrix.  The
+  default pruner's round-2 sends are a closed form over the matched
+  half-edges (each node's first ``k − 1`` matched neighbours by ID);
+  at rounds ``t ≥ 3``, and at every round for other pruners, delivery
+  is one array gather.  The decision is prefiltered by Lemma 1 (a node
+  whose decision inputs all start at one endpoint cannot reject): each
+  sender's first-ID range is scattered to its matched receivers, and
+  only the nodes that pass collect their received rows.  Python runs
+  per node only for the greedy pruner at rounds ``t ≥ 3`` and for the
   evidence search at nodes that can still reject, through the *same*
   pure functions and inputs as the reference engine —
   :func:`~repro.core.algorithm1.process_phase2_round` and
@@ -123,28 +127,18 @@ def _edge_tags(rank: np.ndarray) -> np.ndarray:
     return tags
 
 
-def segmented_min(
-    t: np.ndarray,
-    starts: np.ndarray,
-    rows: np.ndarray,
-    own: np.ndarray,
-) -> np.ndarray:
-    """Per-row minimum tag over CSR rows.
+def segmented_min(t: np.ndarray, owner: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Per-row minimum tag, scattered.
 
-    ``t`` holds the ``H`` candidate tags (``_edge_tags``) in CSR
-    order: segment ``i`` is entries ``starts[i]`` up to ``starts[i + 1]``
-    (the last one up to ``H``) and belongs to output row ``rows[i]``.
-    ``starts`` lists the non-empty segments only and begins at 0;
-    ``rows`` ascends.
-
-    Each output row starts from its own tag ``own`` — the sentinel
-    ``_INF`` meaning "no tag" — and returns the smallest tag among it and
-    its segment.  Rows outside ``rows`` keep their own tag.  One
-    ``np.minimum.reduceat`` pass: O(H) work, no sort.
+    ``t`` holds candidate tags (``_edge_tags``) and ``owner`` the output
+    row of each, in any order (for the half-edges, ``he_src``).  Each
+    output row starts from its own tag ``own`` — the sentinel ``_INF``
+    meaning "no tag" — and returns the smallest tag among it and the
+    entries it owns; a row that owns none keeps its own tag.  One
+    ``np.minimum.at`` pass: linear work, no sort, no per-row cost.
     """
     best = own.copy()
-    if len(rows):
-        best[rows] = np.minimum(np.minimum.reduceat(t, starts), own[rows])
+    np.minimum.at(best, owner, t)
     return best
 
 
@@ -153,23 +147,20 @@ def priority_mux(
     sending: np.ndarray,
     he_src: np.ndarray,
     he_dst: np.ndarray,
-    starts: np.ndarray,
-    rows: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The §3.1 priority rule for every receiver, vectorized.
 
     ``T``/``sending`` are every node's current tag and send flag;
-    ``he_src``/``he_dst`` are the half-edges in CSR order, and
-    ``starts``/``rows`` their non-empty segments as :func:`segmented_min`
-    takes them; every sending node's tag is below ``_INF``.  Returns
-    ``(best, matches)``: each node's winning tag — the minimum of its own
-    and its sending neighbours' — and a per-half-edge mask of the
-    messages that survive the rule (the sender sends, and its tag equals
-    the receiver's winner).  Senders are masked per node, before the one
+    ``he_src``/``he_dst`` are the half-edges (receiver, sender) in CSR
+    order; every sending node's tag is below ``_INF``.  Returns ``(best,
+    matches)``: each node's winning tag — the minimum of its own and its
+    sending neighbours' — and a per-half-edge mask of the messages that
+    survive the rule (the sender sends, and its tag equals the
+    receiver's winner).  Senders are masked per node, before the one
     gather of tags over the half-edges.
     """
     nb = np.where(sending, T, _INF)[he_dst]
-    best = segmented_min(nb, starts, rows, T)
+    best = segmented_min(nb, he_src, T)
     return best, (nb == best[he_src]) & (nb != _INF)
 
 
@@ -200,48 +191,38 @@ class FastEngine(CongestEngine):
         he_src = np.repeat(np.arange(n, dtype=np.int64), degrees)
         self._he_src = he_src
         self._he_dst = indices
-        # Non-empty CSR rows and their first half-edge: the segments the
-        # priority rule's segmented minima reduce over.
+        # Non-empty CSR rows: the nodes that send their seed at round 2.
         self._rows = np.nonzero(degrees > 0)[0]
-        self._row_starts = indptr[self._rows]
         # Dense ID ranks order vertices as their IDs do, and pack into
         # int64 keys whatever the ID space (n**2 < 2**63).
         id_rank = network.id_ranks
         src_rank = id_rank[he_src]
         dst_rank = id_rank[indices]
-        # The canonical edge table, in (smaller ID, larger ID) order.
-        # Both half-edges of an edge share its key, and each edge has one
-        # owned half-edge (src ID < dst ID) and one other, so sorting
-        # each half by key lists the edges in the same order.
-        # (Built in place: at n = 10^5 each fresh temporary of H entries
-        # costs page faults.)
+        # The canonical edge table, in (smaller ID, larger ID) order: each
+        # edge's owned half-edge (src ID < dst ID), sorted by its ranks
+        # packed into one key.
         owned = src_rank < dst_rank
-        key = np.minimum(src_rank, dst_rank)
+        mine = np.flatnonzero(owned)
+        key = src_rank[mine]
         key *= n
-        key += np.maximum(src_rank, dst_rank, out=src_rank)
-
-        def in_edge_order(half: np.ndarray) -> np.ndarray:
-            he = np.flatnonzero(half)
-            return he[np.argsort(key[he])]
-
-        mine, theirs = in_edge_order(owned), in_edge_order(~owned)
-        if not len(mine) == len(theirs) == g.m:  # pragma: no cover
+        key += dst_rank[mine]
+        mine = mine[np.argsort(key)]
+        if len(mine) != g.m:  # pragma: no cover
             raise CongestError("inconsistent edge count in CSR compile")
-        edge_of_he = np.empty(len(indices), dtype=np.int64)
-        edge_of_he[mine] = edge_of_he[theirs] = np.arange(g.m)
-        self._edge_of_he = edge_of_he
-        # Each edge's owned half-edge: its endpoint vertices for the scan.
-        self._edge_he = mine
-        # The edge table's endpoint IDs: the rank draws' keys.
-        self._edge_a = ids[he_src[mine]]
-        self._edge_b = ids[indices[mine]]
+        # The edge table's endpoint vertices — where the minimum-rank
+        # selection scatters each edge's tag, and the scan's endpoints —
+        # and IDs, the rank draws' keys.
+        self._edge_ends = np.stack((he_src[mine], indices[mine]))
+        self._edge_a, self._edge_b = ids[self._edge_ends]
         # Half-edges by (receiving vertex, sender ID), packed like the
         # edge table (keys are unique).  This is the order of the
         # round-2 seeds each node receives.  (Its keys reuse src_rank's
-        # buffer, which nothing reads any more.)
+        # buffer, which nothing reads any more.  CSR order already
+        # groups them by receiver, so the merge sort of kind="stable"
+        # runs faster than the default, and unique keys sort the same.)
         by_id = np.multiply(he_src, n, out=src_rank)
         by_id += dst_rank
-        self._he_by_id = np.argsort(by_id)
+        self._he_by_id = np.argsort(by_id, kind="stable")
         # Reference rank outboxes go out by owner vertex, each in
         # ascending neighbour-ID order: the round-1 audit's first
         # delivery is the first owned half-edge in that order.
@@ -271,13 +252,20 @@ class FastEngine(CongestEngine):
 
     @property
     def compiled_nbytes(self) -> int:
-        """Bytes held by the compiled CSR/half-edge arrays (cache telemetry)."""
+        """Bytes held by the compiled CSR/half-edge arrays (cache telemetry;
+        ``_he_dst`` is ``_indices``, counted once)."""
         return sum(
             arr.nbytes
             for arr in (
-                self._ids, self._indptr, self._indices, self._degrees,
-                self._rows, self._row_starts, self._he_src, self._he_dst,
-                self._edge_of_he, self._edge_he, self._edge_a, self._edge_b,
+                self._ids,
+                self._indptr,
+                self._indices,
+                self._degrees,
+                self._rows,
+                self._he_src,
+                self._edge_ends,
+                self._edge_a,
+                self._edge_b,
                 self._he_by_id,
             )
         )
@@ -359,18 +347,29 @@ class FastEngine(CongestEngine):
         mat, ptr = pool
         return list(map(tuple, mat[ptr[v] : ptr[v + 1]].tolist()))
 
+    @staticmethod
+    def _blocks(ptr: np.ndarray, senders: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The pool rows of each sender's block, concatenated in
+        ``senders`` order, and each block's length."""
+        lens = ptr[senders + 1] - ptr[senders]
+        at = np.repeat(ptr[senders] - (np.cumsum(lens) - lens), lens)
+        at += np.arange(len(at))
+        return at, lens
+
     def _gather(self, matched: np.ndarray, sent: Pool) -> Pool:
         """What every node receives: each matched half-edge's sender
-        block, concatenated in CSR order."""
+        block, concatenated in CSR order.
+
+        Delivery for the pruner at rounds ``t >= 3``, and at round 2 for
+        a pruner other than :class:`~repro.core.pruning.HittingSetPruner`;
+        round 2 of that pruner and the decision deliver no rows
+        (:meth:`_seed_round`, :meth:`_decide`).
+        """
         mat, ptr = sent
         hm = np.flatnonzero(matched)
-        senders = self._he_dst[hm]
-        lens = ptr[senders + 1] - ptr[senders]
-        first = np.repeat(ptr[senders] - (np.cumsum(lens) - lens), lens)
+        at, lens = self._blocks(ptr, self._he_dst[hm])
         counts = np.bincount(self._he_src[hm], lens, minlength=len(ptr) - 1)
-        return self._pool(
-            mat[first + np.arange(len(first))], counts.astype(np.int64)
-        )
+        return self._pool(mat[at], counts.astype(np.int64))
 
     def _seed_round(self, matched: np.ndarray, k: int) -> Pool:
         """Round-2 sends of :class:`~repro.core.pruning.HittingSetPruner`
@@ -381,21 +380,23 @@ class FastEngine(CongestEngine):
         singletons, so the ``q = k - 2`` hitting-set test keeps exactly
         the first ``k - 1`` seeds in sorted order: each node sends
         ``(seed, own ID)`` for its first ``k - 1`` matched neighbours by
-        ID.
+        ID.  Only the matched half-edges are ranked.
         """
         order = self._he_by_id
-        hit = matched[order]
-        before = np.cumsum(hit) - hit
-        # ``order`` permutes only within each receiver's CSR segment, so
-        # a hit's rank among its receiver's hits is ``before`` minus its
-        # value at the segment start.
-        rank = before - np.repeat(
-            before[self._row_starts], self._degrees[self._rows]
+        # The matched half-edges by (receiver, sender ID).  (Indexed
+        # through ``flatnonzero``: a boolean index of an irregular mask
+        # this long takes ~4x as long.)
+        hm = order[np.flatnonzero(matched[order])]
+        recv = self._he_src[hm]
+        got = np.bincount(recv, minlength=len(self._ids))
+        # A seed's rank among its receiver's: its position past the
+        # receiver's first.
+        rank = np.arange(len(hm)) - (np.cumsum(got) - got)[recv]
+        keep = hm[rank < k - 1]
+        mat = np.stack(
+            (self._ids[self._he_dst[keep]], self._ids[self._he_src[keep]]), axis=1
         )
-        keep = order[hit & (rank < k - 1)]
-        recv = self._he_src[keep]
-        mat = np.stack((self._ids[self._he_dst[keep]], self._ids[recv]), axis=1)
-        return self._pool(mat, np.bincount(recv, minlength=len(self._ids)))
+        return self._pool(mat, np.minimum(got, k - 1))
 
     def _apply_round(self, recv: Pool, k: int, t: int, pruner) -> Pool:
         """Instructions 10–27 at every receiving node: the pruner is
@@ -426,44 +427,69 @@ class FastEngine(CongestEngine):
         """Per node, the smallest and largest first ID of its sequences
         (the int64 maximum and ``-1`` for a node holding none)."""
         mat, ptr = pool
-        lo = np.full(len(ptr) - 1, np.iinfo(np.int64).max)
-        hi = np.full(len(ptr) - 1, -1, dtype=np.int64)
-        nodes = np.flatnonzero(np.diff(ptr))
-        if len(nodes):
-            lo[nodes] = np.minimum.reduceat(mat[:, 0], ptr[nodes])
-            hi[nodes] = np.maximum.reduceat(mat[:, 0], ptr[nodes])
+        n = len(ptr) - 1
+        holder = np.repeat(np.arange(n), np.diff(ptr))
+        lo = np.full(n, np.iinfo(np.int64).max)
+        hi = np.full(n, -1, dtype=np.int64)
+        np.minimum.at(lo, holder, mat[:, 0])
+        np.maximum.at(hi, holder, mat[:, 0])
         return lo, hi
 
     def _decide(
-        self, k: int, recv: Pool, own: Pool, stale: np.ndarray
+        self, k: int, matched: np.ndarray, sent: Pool, stale: np.ndarray
     ) -> Dict[int, Tuple[int, ...]]:
         """Instructions 31–42 for one repetition: ``{vertex: cycle}`` of
         the rejecting nodes.
 
+        ``matched`` masks the half-edges whose final message survives the
+        priority rule, ``sent`` is the final round's send pool and
+        ``stale`` marks the nodes whose tag switched off the one they
+        last sent under.
+
         Exact prefilter (Lemma 1): every sequence held under a tag starts
         at an endpoint of that tag's edge, and ``|L1 ∪ L2 ∪ {ID}| = k``
         needs two disjoint sequences — two received ones for odd ``k``;
-        the node's own last send (unless ``stale``: its tag switched) and
-        a received one for even ``k`` — which start at different
-        endpoints.  So only nodes whose decision inputs start at two
-        different IDs can reject, and only they run
-        :func:`~repro.core.algorithm1.find_detection_evidence`, on the
+        the node's own last send (unless stale) and a received one for
+        even ``k`` — which start at different endpoints.  So only nodes
+        whose decision inputs start at two different IDs can reject.
+        Each sender's first-ID range over its sends is scattered to its
+        matched receivers (and, for even ``k``, taken as the node's own
+        unless stale), so no row is delivered to find them.  Only they
+        collect what they received — every matched sender's block, in
+        CSR order — and run
+        :func:`~repro.core.algorithm1.find_detection_evidence` on the
         sorted received list and the own send unless stale.
         """
         from ...core.algorithm1 import find_detection_evidence
         from ...core.sequences import sort_sequences
 
-        lo, hi = self._first_id_range(recv)
+        mat, ptr = sent
+        n = len(ptr) - 1
+        hm = np.flatnonzero(matched)
+        recv, senders = self._he_src[hm], self._he_dst[hm]
+        send_lo, send_hi = self._first_id_range(sent)
+        lo = np.full(n, np.iinfo(np.int64).max)
+        hi = np.full(n, -1, dtype=np.int64)
+        np.minimum.at(lo, recv, send_lo[senders])
+        np.maximum.at(hi, recv, send_hi[senders])
+        got = lo <= hi
         if k % 2 == 0:
-            own_lo, own_hi = self._first_id_range(own)
-            lo = np.where(stale, lo, np.minimum(lo, own_lo))
-            hi = np.where(stale, hi, np.maximum(hi, own_hi))
-        found = {}
-        for v in np.flatnonzero((np.diff(recv[1]) > 0) & (lo != hi)).tolist():
-            received = sort_sequences(self._rows_of(recv, v))
-            own_seqs = [] if stale[v] else self._rows_of(own, v)
+            lo = np.where(stale, lo, np.minimum(lo, send_lo))
+            hi = np.where(stale, hi, np.maximum(hi, send_hi))
+        can = got & (lo != hi)
+        found: Dict[int, Tuple[int, ...]] = {}
+        keep = np.flatnonzero(can[recv])
+        if not len(keep):
+            return found
+        at, lens = self._blocks(ptr, senders[keep])
+        counts = np.bincount(recv[keep], lens, minlength=n)
+        received = self._pool(mat[at], counts.astype(np.int64))
+        for v in np.flatnonzero(can).tolist():
             cycle = find_detection_evidence(
-                self._id_list[v], k, own_seqs, received
+                self._id_list[v],
+                k,
+                [] if stale[v] else self._rows_of(sent, v),
+                sort_sequences(self._rows_of(received, v)),
             )
             if cycle is not None:
                 found[v] = cycle
@@ -509,13 +535,14 @@ class FastEngine(CongestEngine):
         """One tester repetition, verdict-identical to the reference
         engine under the same ``rep_seed``.
 
-        The rank draws, round-2 selection and every round's priority
-        rule are array passes over the compiled half-edges; the
-        sequences are int64 ID pools, so the gather, the round-2 sends
-        and the decision prefilter are array passes too.  Only the
-        pruner at rounds ``t >= 3`` (or any round, for a pruner other
-        than :class:`~repro.core.pruning.HittingSetPruner`) and the
-        evidence search at nodes that can still reject run per node.
+        The rank draws, minimum-rank selection and every round's
+        priority rule are array passes over the compiled edges and
+        half-edges; the sequences are int64 ID pools, so the round-2
+        sends, the later rounds' gathers and the decision prefilter are
+        array passes too.  Only the pruner at rounds ``t >= 3`` (or any
+        round, for a pruner other than
+        :class:`~repro.core.pruning.HittingSetPruner`) and the evidence
+        search at nodes that can still reject run per node.
         """
         from ...core.algorithm1 import DetectionOutcome, DetectionOutcomes
         from ...core.phase1 import protocol_rounds
@@ -527,7 +554,7 @@ class FastEngine(CongestEngine):
         g = self._net.graph
         n = g.n
         he_src, he_dst = self._he_src, self._he_dst
-        starts, rows = self._row_starts, self._rows
+        rows = self._rows
         trace = ExecutionTrace(n=n, m=g.m, size_model=self._size_model)
 
         # Round 1 — every owner ships its edges' ranks.
@@ -538,11 +565,10 @@ class FastEngine(CongestEngine):
         # Round 2 — per-node minimum incident tag; every non-isolated
         # node broadcasts its seed sequence under it.
         with prof.phase("min_select"):
+            tags = _edge_tags(edge_rank)
+            u, v = self._edge_ends
             T = segmented_min(
-                _edge_tags(edge_rank)[self._edge_of_he],
-                starts,
-                rows,
-                np.full(n, _INF, dtype=np.int64),
+                tags, v, segmented_min(tags, u, np.full(n, _INF, dtype=np.int64))
             )
         sending = self._degrees > 0
         pool = self._pool(self._ids[rows][:, None], sending.astype(np.int64))
@@ -560,7 +586,7 @@ class FastEngine(CongestEngine):
         # Rounds 3..1+⌊k/2⌋ — prioritized multiplexed Phase 2.
         for t in range(2, k // 2 + 1):
             with prof.phase("priority_mux"):
-                T, matched = priority_mux(T, sending, he_src, he_dst, starts, rows)
+                T, matched = priority_mux(T, sending, he_src, he_dst)
             if t == 2 and closed_form:
                 with prof.phase("round_apply"):
                     pool = self._seed_round(matched, k)
@@ -586,12 +612,11 @@ class FastEngine(CongestEngine):
         # point pool / T hold the final round's sends and the tags they
         # were sent under.
         with prof.phase("priority_mux"):
-            best, matched = priority_mux(T, sending, he_src, he_dst, starts, rows)
-            recv = self._gather(matched, pool)
+            best, matched = priority_mux(T, sending, he_src, he_dst)
         # Nodes whose winning tag moved off the one they last sent under.
         switched = T != best
         with prof.phase("decision"):
-            found = self._decide(k, recv, pool, switched)
+            found = self._decide(k, matched, pool, switched)
         rejects = {v: DetectionOutcome(True, cycle) for v, cycle in found.items()}
         assert trace.num_rounds == protocol_rounds(k)
         return self._finish(RunResult(DetectionOutcomes(n, rejects), trace))
@@ -884,8 +909,7 @@ class FastEngine(CongestEngine):
         order; slot ``s`` is edge ``lo + s``.  Each execution's outputs
         are those of :meth:`run_detect` through that edge.
         """
-        he = self._edge_he[lo:hi]
-        u, v = self._he_src[he], self._he_dst[he]
+        u, v = self._edge_ends[:, lo:hi]
         # Round 1: the endpoints broadcast their singleton sequences.
         slot = np.repeat(np.arange(hi - lo), 2)
         holder = np.stack((np.minimum(u, v), np.maximum(u, v)), axis=1).ravel()

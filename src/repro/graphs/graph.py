@@ -14,12 +14,13 @@ external serialisation of reads against mutations that the sorted
 neighbour cache has always needed.
 
 Until its first edge removal a graph also logs the endpoints of every
-edge it inserts, in insertion order, as two int lists: the constructor,
-:meth:`Graph.add_edge` and :meth:`Graph.from_canonical_edge_arrays` all
-append to it, :meth:`Graph.add_vertex` keeps it and :meth:`Graph.copy`
-copies it.  The CSR export sorts that log in array passes instead of
-iterating the adjacency sets; a graph that has seen a removal exports
-from the sets.
+edge it inserts, in insertion order, as two int lists: the constructor
+and :meth:`Graph.add_edge` append to it, :meth:`Graph.add_vertex` keeps
+it and :meth:`Graph.copy` copies it.  A graph built by
+:meth:`Graph.from_canonical_edge_arrays` logs its edges as two read-only
+int64 arrays instead, which its next insertion turns into lists.  The
+CSR export sorts that log in array passes instead of iterating the
+adjacency sets; a graph that has seen a removal exports from the sets.
 
 ``networkx`` interop lives in :mod:`repro.graphs.convert` so that the hot
 path never imports networkx.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +38,17 @@ from .._types import Edge, canonical_edge
 from ..errors import GraphError
 
 __all__ = ["Graph"]
+
+#: One column of the insertion log: an int list, or a read-only int64
+#: array from :meth:`Graph.from_canonical_edge_arrays`.
+Log = Union[List[int], np.ndarray]
+
+
+def _log_array(log: Log) -> np.ndarray:
+    """An insertion-log column as an int64 array (an array log as it is)."""
+    if type(log) is np.ndarray:
+        return log
+    return np.fromiter(log, dtype=np.int64, count=len(log))
 
 
 class Graph:
@@ -82,7 +94,7 @@ class Graph:
         # the first removal: to_csr sorts them instead of the sets.
         log_u: List[int] = []
         log_v: List[int] = []
-        self._log: Tuple[List[int], List[int]] | None = (log_u, log_v)
+        self._log: Tuple[Log, Log] | None = (log_u, log_v)
         self._sorted_cache: List[Tuple[int, ...]] | None = None
         self._csr_cache: Tuple[np.ndarray, np.ndarray] | None = None
         self._hash_cache: str | None = None
@@ -118,9 +130,12 @@ class Graph:
         self._adj[u].add(v)
         self._adj[v].add(u)
         self._m += 1
-        if self._log is not None:
-            self._log[0].append(u)
-            self._log[1].append(v)
+        log = self._log
+        if log is not None:
+            if type(log[0]) is not list:
+                log = self._log = (log[0].tolist(), log[1].tolist())
+            log[0].append(u)
+            log[1].append(v)
         self._sorted_cache = None
         self._csr_cache = None
         self._hash_cache = None
@@ -249,7 +264,11 @@ class Graph:
         g._m = self._m
         g._adj = [set(s) for s in self._adj]
         log = self._log
-        g._log = None if log is None else (list(log[0]), list(log[1]))
+        if log is not None and type(log[0]) is list:
+            log = (list(log[0]), list(log[1]))
+        # An array log is read-only and replaced on the next insertion,
+        # so both graphs can hold it.
+        g._log = log
         return g
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
@@ -283,12 +302,16 @@ class Graph:
         """
         g = cls(n)
         adj = g._adj
-        us, vs = us.tolist(), vs.tolist()
-        for u, v in zip(us, vs):
+        for u, v in zip(us.tolist(), vs.tolist()):
             adj[u].add(v)
             adj[v].add(u)
-        g._m = len(us)
-        g._log = (us, vs)
+        # The log keeps read-only int64 copies, which to_csr reads as
+        # they are.
+        log = (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
+        for arr in log:
+            arr.flags.writeable = False
+        g._m = len(log[0])
+        g._log = log
         return g
 
     def relabel(self, permutation: Sequence[int]) -> "Graph":
@@ -344,10 +367,8 @@ class Graph:
             else:
                 # Both orientations of every logged edge, written in place:
                 # at n = 10^5 each fresh temporary costs page faults.
-                log_u, log_v = self._log
-                m = len(log_u)
-                us = np.fromiter(log_u, dtype=np.int64, count=m)
-                vs = np.fromiter(log_v, dtype=np.int64, count=m)
+                us, vs = map(_log_array, self._log)
+                m = len(us)
                 degrees = np.bincount(us, minlength=n)
                 degrees += np.bincount(vs, minlength=n)
                 keys = np.empty(2 * m, dtype=np.int64)

@@ -220,7 +220,7 @@ class TestCsrFromTheInsertionLog:
         for op in ops:
             g = live[op[1] % len(live)]
             kind = op[0]
-            if kind == "add":
+            if kind == "add" and g.n:
                 u, v = op[2] % g.n, op[3] % g.n
                 if u != v:
                     g.add_edge(u, v, strict=False)
