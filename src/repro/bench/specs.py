@@ -767,6 +767,64 @@ def fast_scale(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     }
 
 
+#: Floor on one add_edge per pair over ``Graph(n, pairs)`` + ``to_csr()``
+#: at n=10^5, m=2*10^5.  24 repeats in 12 fresh processes on a 2-core
+#: host read 7.4-11.3x; a constructor that inserts each pair into
+#: adjacency sets in Python reads about 1.4x.
+_MIN_BUILD_SPEEDUP = 4.0
+
+
+def _distinct_pairs(n: int, m: int, seed: int) -> list:
+    """``m`` distinct non-loop pairs on ``0..n-1`` as plain-int tuples,
+    in a seeded order and orientation."""
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, n, size=2 * m)
+    vs = rng.integers(0, n, size=2 * m)
+    _, first = np.unique(np.minimum(us, vs) * n + np.maximum(us, vs), return_index=True)
+    first = np.sort(first[us[first] != vs[first]])[:m]
+    assert first.size == m
+    return list(zip(us[first].tolist(), vs[first].tolist()))
+
+
+@benchmark(
+    "scalability",
+    # The build that every fresh tester call pays before its first round,
+    # at the scale of fast_scale's graph.
+    smoke=[{"n": 100_000, "m": 200_000}],
+    default=[{"n": 250_000, "m": 500_000}],
+)
+def graph_build(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """``Graph(n, pairs)`` and its CSR export against one ``add_edge``
+    per pair, on the same seeded pairs."""
+    from ..graphs import Graph
+
+    n, m = case["n"], case["m"]
+    pairs = _distinct_pairs(n, m, seed % (2**32))
+    t0 = time.perf_counter()
+    g = Graph(n, pairs)
+    t1 = time.perf_counter()
+    g.to_csr()
+    t2 = time.perf_counter()
+    per_pair = Graph(n)
+    for u, v in pairs:
+        per_pair.add_edge(u, v)
+    t3 = time.perf_counter()
+    assert g.content_hash() == per_pair.content_hash()
+    speedup = (t3 - t2) / (t2 - t0)
+    assert speedup >= _MIN_BUILD_SPEEDUP, (
+        f"Graph(n, pairs) + to_csr() ran only {speedup:.2f}x faster than "
+        f"one add_edge per pair (floor {_MIN_BUILD_SPEEDUP}x)"
+    )
+    return {
+        "n": g.n,
+        "m": g.m,
+        "build_ms": (t1 - t0) * 1e3,
+        "csr_ms": (t2 - t1) * 1e3,
+        "per_pair_ms": (t3 - t2) * 1e3,
+        "speedup": speedup,
+    }
+
+
 # ---------------------------------------------------------------------------
 # farness — Lemma 4 edge-disjoint cycle packings
 # ---------------------------------------------------------------------------

@@ -6,21 +6,33 @@ dependency-free graph type tuned for the access patterns of the simulator:
 O(1) adjacency-set lookups, cheap neighbour iteration in deterministic
 (sorted) order, and a vectorised CSR export for the array engines.
 
-Derived views — the sorted neighbour tuples, the CSR export and the
-content hash — are memoised on first use and cleared by every mutation,
-so repeated reads of an unchanged graph cost nothing.  Memo writes
-happen in readers: a graph shared between threads needs the same
-external serialisation of reads against mutations that the sorted
-neighbour cache has always needed.
+A graph is built in array passes.  The constructor converts its pairs
+into two int64 endpoint columns and validates them with array
+operations (range, self-loops, and one sort of canonical edge keys for
+duplicates); :meth:`Graph.from_canonical_edge_arrays` takes trusted
+columns as they are.  Either way the columns become the graph's
+insertion log, read-only.  The adjacency sets are derived from that
+log on the first call that reads them — membership, degrees,
+neighbours, edge iteration, the content hash, equality, validation,
+subgraphs and every mutation — so ``n``, ``m``, :meth:`Graph.to_csr`
+and :meth:`Graph.copy` of a fresh graph allocate no Python set per
+vertex.
 
-Until its first edge removal a graph also logs the endpoints of every
-edge it inserts, in insertion order, as two int lists: the constructor
-and :meth:`Graph.add_edge` append to it, :meth:`Graph.add_vertex` keeps
-it and :meth:`Graph.copy` copies it.  A graph built by
-:meth:`Graph.from_canonical_edge_arrays` logs its edges as two read-only
-int64 arrays instead, which its next insertion turns into lists.  The
-CSR export sorts that log in array passes instead of iterating the
-adjacency sets; a graph that has seen a removal exports from the sets.
+Derived views — the adjacency sets, the sorted neighbour tuples, the
+CSR export and the content hash — are memoised on first use, and every
+mutation clears all but the sets, which it updates, so repeated reads
+of an unchanged graph cost nothing.  Memo writes happen in readers: a
+graph shared between threads needs the same external serialisation of
+reads against mutations that the sorted neighbour cache has always
+needed.
+
+Until its first edge removal a graph keeps that log of the endpoints of
+every edge it inserts, in insertion order.  Its first insertion turns
+the two arrays into int lists that :meth:`Graph.add_edge` appends to;
+:meth:`Graph.add_vertex` keeps the log and :meth:`Graph.copy` copies it
+(a read-only array log is shared).  The CSR export sorts the log in
+array passes instead of iterating the adjacency sets; a graph that has
+seen a removal exports from the sets.
 
 ``networkx`` interop lives in :mod:`repro.graphs.convert` so that the hot
 path never imports networkx.
@@ -30,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 from typing import Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -39,9 +52,20 @@ from ..errors import GraphError
 
 __all__ = ["Graph"]
 
-#: One column of the insertion log: an int list, or a read-only int64
-#: array from :meth:`Graph.from_canonical_edge_arrays`.
+#: One column of the insertion log: a read-only int64 array until the
+#: graph's first insertion, an int list after it.
 Log = Union[List[int], np.ndarray]
+
+
+def _read_only(*columns: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Mark ``columns`` read-only and return them."""
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+#: The log of a graph with no edges (shared: nothing writes to it).
+_EMPTY_LOG = _read_only(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 def _log_array(log: Log) -> np.ndarray:
@@ -49,6 +73,45 @@ def _log_array(log: Log) -> np.ndarray:
     if type(log) is np.ndarray:
         return log
     return np.fromiter(log, dtype=np.int64, count=len(log))
+
+
+def _checked_log(n: int, us: list, vs: list, strict: bool) -> Tuple[Log, Log] | None:
+    """Pairs ``(us[i], vs[i])`` as the insertion log of a graph on ``n``
+    vertices, or None if :meth:`Graph.add_edge` would reject one.
+
+    Valid pairs have ``int`` or ``np.integer`` endpoints (bools count
+    as ints) in ``[0, n)`` that differ, and, when ``strict``, no edge
+    twice in either orientation; otherwise each edge keeps its first
+    pair.  Duplicates show as equal neighbours among the sorted
+    canonical ``min·n + max`` keys.
+    """
+    if not us:
+        return _EMPTY_LOG
+    if not all(
+        issubclass(t, (int, np.integer)) for t in {*map(type, us), *map(type, vs)}
+    ):
+        return None
+    try:
+        u = np.array(us, dtype=np.int64)
+        v = np.array(vs, dtype=np.int64)
+    except OverflowError:  # an int beyond int64, so out of range
+        return None
+    if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n or (u == v).any():
+        return None
+    keys = np.minimum(u, v)
+    keys *= n
+    keys += np.maximum(u, v)
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
+        if strict:
+            return None
+        # A stable sort puts each edge's first pair first among its
+        # repeats; drop the rest, keeping insertion order.
+        order = np.argsort(keys, kind="stable")
+        repeat = np.zeros(len(keys), dtype=bool)
+        repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        u, v = u[~repeat], v[~repeat]
+    return _read_only(u, v)
 
 
 class Graph:
@@ -84,51 +147,81 @@ class Graph:
         *,
         strict: bool = True,
     ) -> None:
+        n = operator.index(n)
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         self._n = n
-        self._m = 0
-        adj: List[Set[int]] = [set() for _ in range(n)]
-        self._adj = adj
-        # The endpoints of every inserted edge, in insertion order, until
-        # the first removal: to_csr sorts them instead of the sets.
-        log_u: List[int] = []
-        log_v: List[int] = []
-        self._log: Tuple[Log, Log] | None = (log_u, log_v)
+        # Built from the log on first use (see _sets).
+        self._adj: List[Set[int]] | None = None
         self._sorted_cache: List[Tuple[int, ...]] | None = None
         self._csr_cache: Tuple[np.ndarray, np.ndarray] | None = None
         self._hash_cache: str | None = None
-        # A new edge between two distinct in-range plain ints is inserted
-        # and logged inline; every other pair goes through add_edge,
-        # which logs it, collapses it or raises with its usual message.
-        # Either way each edge is logged once, so the log counts them.
-        for u, v in edges:
-            if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n:
-                nbrs = adj[u]
-                if u != v and v not in nbrs:
-                    nbrs.add(v)
-                    adj[v].add(u)
-                    log_u.append(u)
-                    log_v.append(v)
-                    continue
+        us: List[int] = []
+        vs: List[int] = []
+        try:
+            for u, v in edges:
+                us.append(u)
+                vs.append(v)
+        except (TypeError, ValueError):
+            # A pair that does not unpack: as with one add_edge per pair,
+            # an invalid pair before it raises first.
+            self._insert_each(us, vs, strict)
+            raise
+        # The endpoints of every inserted edge, in insertion order, until
+        # the first removal: to_csr sorts them instead of the sets.
+        self._log: Tuple[Log, Log] | None = _checked_log(n, us, vs, strict)
+        if self._log is not None:
+            self._m = len(self._log[0])
+        else:
+            # Some pair is invalid: inserting one pair at a time raises
+            # the first offending pair's error, with add_edge's message.
+            self._insert_each(us, vs, strict)
+
+    def _insert_each(self, us: list, vs: list, strict: bool) -> None:
+        """Insert pairs ``(us[i], vs[i])`` one :meth:`add_edge` at a time
+        into this graph, which has no edges yet."""
+        self._m, self._log = 0, _EMPTY_LOG
+        for u, v in zip(us, vs):
             self.add_edge(u, v, strict=strict)
-        self._m = len(log_u)
+
+    def _sets(self) -> List[Set[int]]:
+        """The adjacency sets, built from the insertion log on first use."""
+        adj = self._adj
+        if adj is None:
+            adj = [set() for _ in range(self._n)]
+            # A graph without sets has seen no mutation since its log
+            # was built, so the log is still the read-only array pair.
+            us, vs = self._log
+            for u, v in zip(us.tolist(), vs.tolist()):
+                adj[u].add(v)
+                adj[v].add(u)
+            self._adj = adj
+        return adj
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def add_edge(self, u: int, v: int, *, strict: bool = True) -> None:
-        """Insert the undirected edge ``{u, v}``."""
+        """Insert the undirected edge ``{u, v}``.
+
+        Endpoints may be any ``int`` or ``np.integer``; the graph stores
+        them as plain ints, so equal graphs hash and iterate alike.
+        """
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
             raise GraphError(f"self-loop ({u},{v}) not allowed in a simple graph")
-        if v in self._adj[u]:
+        adj = self._adj
+        if adj is None:
+            adj = self._sets()
+        if v in adj[u]:
             if strict:
                 raise GraphError(f"duplicate edge ({u},{v})")
             return
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        if type(u) is not int or type(v) is not int:
+            u, v = int(u), int(v)
+        adj[u].add(v)
+        adj[v].add(u)
         self._m += 1
         log = self._log
         if log is not None:
@@ -144,10 +237,13 @@ class Graph:
         """Delete the undirected edge ``{u, v}``; raises if absent."""
         self._check_vertex(u)
         self._check_vertex(v)
-        if v not in self._adj[u]:
+        adj = self._adj
+        if adj is None:
+            adj = self._sets()
+        if v not in adj[u]:
             raise GraphError(f"edge ({u},{v}) not present")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        adj[u].discard(v)
+        adj[v].discard(u)
         self._m -= 1
         self._log = None
         self._sorted_cache = None
@@ -156,7 +252,7 @@ class Graph:
 
     def add_vertex(self) -> int:
         """Append a fresh isolated vertex and return its index."""
-        self._adj.append(set())
+        self._sets().append(set())
         self._n += 1
         self._sorted_cache = None
         self._csr_cache = None
@@ -180,24 +276,27 @@ class Graph:
         """Whether the undirected edge ``{u, v}`` is present."""
         if not (0 <= u < self._n and 0 <= v < self._n) or u == v:
             return False
-        return v in self._adj[u]
+        adj = self._adj
+        if adj is None:
+            adj = self._sets()
+        return v in adj[u]
 
     def degree(self, u: int) -> int:
         """Degree of vertex ``u``."""
         self._check_vertex(u)
-        return len(self._adj[u])
+        return len(self._sets()[u])
 
     def neighbors(self, u: int) -> Tuple[int, ...]:
         """Neighbours of ``u`` in ascending order (deterministic)."""
         self._check_vertex(u)
         if self._sorted_cache is None:
-            self._sorted_cache = [tuple(sorted(s)) for s in self._adj]
+            self._sorted_cache = [tuple(sorted(s)) for s in self._sets()]
         return self._sorted_cache[u]
 
     def adjacency_set(self, u: int) -> frozenset:
         """Neighbour set of ``u`` as an immutable set (O(1) membership)."""
         self._check_vertex(u)
-        return frozenset(self._adj[u])
+        return frozenset(self._sets()[u])
 
     def vertices(self) -> range:
         """Iterator over vertex indices."""
@@ -216,7 +315,7 @@ class Graph:
 
     def max_degree(self) -> int:
         """Maximum degree (0 for the empty graph)."""
-        return max((len(s) for s in self._adj), default=0)
+        return max((len(s) for s in self._sets()), default=0)
 
     # ------------------------------------------------------------------
     # Structure
@@ -225,13 +324,14 @@ class Graph:
         """Whether the graph is connected (vacuously true for n <= 1)."""
         if self._n <= 1:
             return True
+        adj = self._sets()
         seen = bytearray(self._n)
         stack = [0]
         seen[0] = 1
         count = 1
         while stack:
             u = stack.pop()
-            for v in self._adj[u]:
+            for v in adj[u]:
                 if not seen[v]:
                     seen[v] = 1
                     count += 1
@@ -240,6 +340,7 @@ class Graph:
 
     def connected_components(self) -> List[List[int]]:
         """Connected components as sorted vertex lists."""
+        adj = self._sets()
         seen = bytearray(self._n)
         comps: List[List[int]] = []
         for s in range(self._n):
@@ -250,7 +351,7 @@ class Graph:
             comp = [s]
             while stack:
                 u = stack.pop()
-                for v in self._adj[u]:
+                for v in adj[u]:
                     if not seen[v]:
                         seen[v] = 1
                         comp.append(v)
@@ -259,10 +360,15 @@ class Graph:
         return comps
 
     def copy(self) -> "Graph":
-        """Deep copy (the insertion log too: the copy mutates its own)."""
+        """Deep copy (the insertion log too: the copy mutates its own).
+
+        A graph whose adjacency sets are not built yet copies none; the
+        copy builds its own on first use.
+        """
         g = Graph(self._n)
         g._m = self._m
-        g._adj = [set(s) for s in self._adj]
+        if self._adj is not None:
+            g._adj = [set(s) for s in self._adj]
         log = self._log
         if log is not None and type(log[0]) is list:
             log = (list(log[0]), list(log[1]))
@@ -280,10 +386,11 @@ class Graph:
         if len(index) != len(vertices):
             raise GraphError("duplicate vertices in subgraph selection")
         g = Graph(len(vertices))
+        adj = self._sets()
         vset = set(vertices)
         for u in vertices:
             self._check_vertex(u)
-            for v in self._adj[u]:
+            for v in adj[u]:
                 if v in vset and u < v:
                     g.add_edge(index[u], index[v])
         return g
@@ -301,17 +408,12 @@ class Graph:
         checks the result when in doubt.
         """
         g = cls(n)
-        adj = g._adj
-        for u, v in zip(us.tolist(), vs.tolist()):
-            adj[u].add(v)
-            adj[v].add(u)
         # The log keeps read-only int64 copies, which to_csr reads as
-        # they are.
-        log = (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64))
-        for arr in log:
-            arr.flags.writeable = False
+        # they are and the adjacency sets are built from on first use.
+        g._log = log = _read_only(
+            np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+        )
         g._m = len(log[0])
-        g._log = log
         return g
 
     def relabel(self, permutation: Sequence[int]) -> "Graph":
@@ -353,7 +455,7 @@ class Graph:
             # As row * n + neighbour keys, each row's entries sort within
             # the row's own slots: one sort orders every row.
             if self._log is None:
-                adj = self._adj
+                adj = self._sets()
                 degrees = np.fromiter(map(len, adj), dtype=np.int64, count=n)
                 keys = np.fromiter(
                     itertools.chain.from_iterable(adj),
@@ -403,7 +505,11 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._adj == other._adj
+        return (
+            self._n == other._n
+            and self._m == other._m
+            and self._sets() == other._sets()
+        )
 
     # Mutable container: explicitly unhashable (``hash(g)`` raises
     # TypeError).  Identity-keyed caches must use ``content_hash()``.
@@ -443,14 +549,15 @@ class Graph:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check internal invariants; raises :class:`GraphError` if broken."""
+        adj = self._sets()
         m = 0
         for u in range(self._n):
-            for v in self._adj[u]:
+            for v in adj[u]:
                 if not 0 <= v < self._n:
                     raise GraphError(f"neighbour {v} of {u} out of range")
                 if v == u:
                     raise GraphError(f"self-loop at {u}")
-                if u not in self._adj[v]:
+                if u not in adj[v]:
                     raise GraphError(f"asymmetric adjacency {u}->{v}")
                 if u < v:
                     m += 1

@@ -1,5 +1,7 @@
 """Unit tests for the core Graph data structure."""
 
+import random
+
 import numpy as np
 import pytest
 from helpers import graphs
@@ -48,6 +50,26 @@ class TestConstruction:
     def test_non_int_vertex(self):
         with pytest.raises(GraphError):
             Graph(3, [(0, "a")])  # type: ignore[list-item]
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0, True), (True, 2)],
+            [(np.int64(0), np.int64(1)), (np.int64(1), 2)],
+            [(np.int32(0), 1), (1, np.int32(2))],
+        ],
+        ids=["bool", "int64", "int32"],
+    )
+    def test_integer_endpoints_are_stored_as_plain_ints(self, pairs):
+        # Equal graphs must hash alike, whatever integer type built them.
+        plain = Graph(3, [(0, 1), (1, 2)])
+        added = Graph(3)
+        for u, v in pairs:
+            added.add_edge(u, v)
+        for g in (Graph(3, pairs), added):
+            assert g == plain
+            assert g.content_hash() == plain.content_hash()
+            assert [type(x) for e in g.edges() for x in e] == [int] * 4
 
 
 class TestMutation:
@@ -268,12 +290,81 @@ class TestMemoisedViews:
         _assert_csr_equal(g.to_csr(), _per_vertex_csr(g))
 
 
+def _bipartite_pairs(n, m, seed):
+    """``m`` distinct pairs across the halves of ``0..n-1`` (C5-free),
+    in a seeded order and orientation."""
+    rng = random.Random(seed)
+    half = n // 2
+    edges = rng.sample([(u, v) for u in range(half) for v in range(half, n)], m)
+    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+class TestLazyAdjacencySets:
+    """A fresh graph builds its adjacency sets on the first call that
+    reads them; the fast tester path reads none."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The ids of the graphs whose sets get built, one per build."""
+        built = []
+        real = Graph._sets
+
+        def counting(g):
+            if g._adj is None:
+                built.append(id(g))
+            return real(g)
+
+        monkeypatch.setattr(Graph, "_sets", counting)
+        return built
+
+    def test_fast_tester_path_builds_no_sets(self, builds):
+        from repro.congest.engine import create_engine
+        from repro.congest.network import Network
+        from repro.core.tester import CkFreenessTester
+
+        g = Graph(80, _bipartite_pairs(80, 240, seed=5))
+        g.to_csr()
+        c = g.copy()
+        create_engine("fast", Network(c))
+        tester = CkFreenessTester(5, 0.1, repetitions=8, engine="fast")
+        result = tester.run(g, seed=3)
+        assert result.accepted and result.repetitions_run == 8
+        assert (g.n, g.m, c.m) == (80, 240, 240)
+        assert builds == []
+
+    @pytest.mark.parametrize("first", ["has_edge", "neighbors", "add_edge"])
+    def test_first_set_read_builds_them_once(self, builds, first):
+        pairs = _bipartite_pairs(20, 40, seed=1)
+        per_pair = Graph(20)
+        for u, v in pairs:
+            per_pair.add_edge(u, v)
+        builds.clear()
+        g = Graph(20, pairs)
+        copy = g.copy()
+        if first == "has_edge":
+            assert g.has_edge(*pairs[0])
+        elif first == "neighbors":
+            assert len(g.neighbors(pairs[0][0])) == g.degree(pairs[0][0])
+        else:
+            g.add_edge(0, 1)
+            per_pair.add_edge(0, 1)
+        assert builds == [id(g)]
+        assert g == per_pair
+        assert g.content_hash() == per_pair.content_hash()
+        assert list(g.edges()) == list(per_pair.edges())
+        g.validate()
+        assert builds == [id(g)]
+        # The copy made before the build shares only the read-only log.
+        assert copy.m == len(pairs) and id(copy) not in builds
+
+
 class TestValidation:
     def test_validate_ok(self):
         Graph(4, [(0, 1), (2, 3)]).validate()
 
     def test_validate_detects_corruption(self):
         g = Graph(3, [(0, 1)])
+        assert g.has_edge(0, 1)  # builds the adjacency sets from the log
         g._adj[0].add(2)  # corrupt: asymmetric
         with pytest.raises(GraphError):
             g.validate()

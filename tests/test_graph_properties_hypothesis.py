@@ -107,11 +107,39 @@ class TestIoRoundtripProperty:
         assert loads(dumps(g)) == g
 
 
+#: How messy_edge_lists hands its pairs to the constructor.
+PAIR_FORMS = ("tuples", "lists", "tuple", "generator", "set", "zip", "numpy")
+
+
+def _as_form(pairs, form):
+    """A fresh iterable of ``pairs`` in ``form`` (generators and zips
+    are single-use, so each call makes a new one)."""
+    if form == "tuples":
+        return list(pairs)
+    if form == "lists":
+        return [list(p) for p in pairs]
+    if form == "tuple":
+        return tuple(pairs)
+    if form == "generator":
+        return (p for p in pairs)
+    if form == "set":
+        return set(pairs)
+    if form == "zip":
+        whole = [p for p in pairs if len(p) == 2]
+        return zip([p[0] for p in whole], [p[1] for p in whole])
+    # numpy: (m, 2) rows, whose dtype numpy infers from the endpoints.
+    if any(len(p) != 2 for p in pairs):
+        return np.array(pairs, dtype=object)
+    return np.array(pairs).reshape(len(pairs), 2)
+
+
 @st.composite
 def messy_edge_lists(draw):
-    """``(n, pairs)``: valid pairs mixed with self-loops, negative and
-    ``>= n`` endpoints, floats, strings, ``None``, bools, ``np.int64``
-    endpoints, and duplicates in both orientations."""
+    """``(n, pairs, form)``: valid pairs mixed with self-loops, negative
+    and ``>= n`` endpoints, floats, strings, ``None``, bools,
+    ``np.int64`` and ``np.int32`` endpoints, duplicates in both
+    orientations and pairs of the wrong length, handed over as one of
+    :data:`PAIR_FORMS`."""
     n = draw(st.integers(0, 8))
     valid = st.integers(0, max(n - 1, 0))
     endpoint = st.one_of(
@@ -120,6 +148,7 @@ def messy_edge_lists(draw):
         valid,
         st.integers(-3, n + 3),
         valid.map(np.int64),
+        valid.map(np.int32),
         st.sampled_from([0.0, 1.5, "0", "a", None, True]),
     )
     pairs = draw(st.lists(st.tuples(endpoint, endpoint), max_size=16))
@@ -127,29 +156,41 @@ def messy_edge_lists(draw):
         for u, v in draw(st.lists(st.sampled_from(pairs), max_size=4)):
             at = draw(st.integers(0, len(pairs)))
             pairs.insert(at, (v, u) if draw(st.booleans()) else (u, v))
-    return n, pairs
+        if draw(st.integers(0, 4)) == 0:
+            wrong = draw(st.lists(valid, min_size=1, max_size=3).filter(
+                lambda p: len(p) != 2))
+            pairs.insert(draw(st.integers(0, len(pairs))), tuple(wrong))
+    return n, pairs, draw(st.sampled_from(PAIR_FORMS))
 
 
 class TestConstructorMatchesAddEdge:
-    """``Graph(n, edges)`` validates plain in-range pairs inline; every
-    pair must land exactly as one ``add_edge`` call per pair would."""
+    """``Graph(n, edges)`` builds from endpoint arrays; every iterable of
+    pairs must land exactly as one ``add_edge`` call per pair would."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=messy_edge_lists(), strict=st.booleans())
     # A negative endpoint must raise, not wrap around the adjacency list.
-    @example(case=(3, [(0, 1), (-1, 1)]), strict=True)
+    @example(case=(3, [(0, 1), (-1, 1)], "tuples"), strict=True)
+    # An invalid pair raises before a later pair of the wrong length.
+    @example(case=(3, [(0, 0), (1,)], "generator"), strict=True)
     def test_same_graph_or_same_error(self, case, strict):
-        n, pairs = case
+        n, pairs, form = case
         expected = Graph(n)
         try:
-            for u, v in pairs:
+            for u, v in _as_form(pairs, form):
                 expected.add_edge(u, v, strict=strict)
         except GraphError as exc:
             with pytest.raises(GraphError) as got:
-                Graph(n, pairs, strict=strict)
+                Graph(n, _as_form(pairs, form), strict=strict)
             assert str(got.value) == str(exc)
             return
-        g = Graph(n, pairs, strict=strict)
+        except ValueError as exc:  # a pair of the wrong length
+            with pytest.raises(type(exc)):
+                Graph(n, _as_form(pairs, form), strict=strict)
+            return
+        g = Graph(n, _as_form(pairs, form), strict=strict)
+        # The same insertion log: each edge's first pair, in order.
+        assert [list(c) for c in g._log] == [list(c) for c in expected._log]
         assert g == expected
         assert g.m == expected.m
         assert g.content_hash() == expected.content_hash()
