@@ -23,36 +23,37 @@ per round with vectorized array operations:
   ``np.minimum.at`` passes: O(m) work per round, no sort and no per-row
   cost.
 * **Sequence processing** (Instructions 10–27 and the final decision)
-  holds each repetition's sequences as int64 ID pools — node ``v``'s
-  are the rows ``ptr[v]:ptr[v + 1]`` of one ``(rows, t)`` matrix.  The
-  default pruner's round-2 sends are a closed form over the matched
-  half-edges (each node's first ``k − 1`` matched neighbours by ID);
-  at rounds ``t ≥ 3``, and at every round for other pruners, delivery
-  is one array gather.  The decision is prefiltered by Lemma 1 (a node
+  holds each repetition's sends as int64 ID pools — node ``v``'s are
+  the rows ``ptr[v]:ptr[v + 1]`` of one ``(rows, t)`` matrix.  Once its
+  tag is fixed, a node prunes and decides exactly as in Algorithm 1, so
+  the tester runs those steps on the edge axis's functions (below), with
+  the receiving vertex as the slot.  The default pruner's round-2 sends
+  are a closed form over the matched half-edges (each node's first
+  ``k − 1`` matched neighbours by ID); at rounds ``t ≥ 3``, and at every
+  round for other pruners, delivery is one array gather sorted by
+  (receiver, sequence).  The decision is prefiltered by Lemma 1 (a node
   whose decision inputs all start at one endpoint cannot reject): each
   sender's first-ID range is scattered to its matched receivers, and
-  only the nodes that pass collect their received rows.  Python runs
-  per node only for the greedy pruner at rounds ``t ≥ 3`` and for the
-  evidence search at nodes that can still reject, through the *same*
-  pure functions and inputs as the reference engine —
-  :func:`~repro.core.algorithm1.process_phase2_round` and
-  :func:`~repro.core.algorithm1.find_detection_evidence` — which is
-  what makes the verdict equivalence structural rather than
-  statistical.
+  only the nodes that pass collect their received rows.
 * **Algorithm 1 over an edge axis** (:meth:`FastEngine.first_cycle_edge`,
   the exact scan of :func:`~repro.dynamic.monitor.full_redetect`) runs
   one execution per edge of a block side by side over the compiled
   instance, as ``(slot, holder, sequence)`` int64 pools: broadcast is a
-  CSR expansion plus one sort, Instruction 12 a mask, round 2 of the
-  default pruner (the only one the scan runs) keeps every sequence, and
-  the decision has the same exact Lemma-1 prefilter.  Executions through
-  different edges never interact (Algorithm 1 has no priority rule), so
-  each one's outputs are :meth:`FastEngine.run_detect`'s.  Blocks double
-  while they fit a row budget, and a block is cut to fit it before each
-  broadcast, so a pool of two or more executions never exceeds it.
-  Single-edge detection stays per node: a block-of-one execution is no
-  cheaper than :meth:`FastEngine.run_detect` even before the audit
-  ``run_detect`` also records.
+  CSR expansion plus one sort, Instruction 12 a mask, and the pruner
+  runs once per (slot, vertex) group — under the default pruner only on
+  groups of two or more rows at rounds ``t ≥ 3``.  The decision's exact
+  Lemma-1 prefilter leaves
+  :func:`~repro.core.algorithm1.find_detection_evidence` only the groups
+  that can still reject.  The pruner and the evidence search are the
+  *same* pure functions the reference nodes call, which is what makes
+  the verdict equivalence structural rather than statistical.
+  Executions through different edges never interact (Algorithm 1 has no
+  priority rule), so each one's outputs are
+  :meth:`FastEngine.run_detect`'s.  Blocks double while they fit a row
+  budget, and a block is cut to fit it before each broadcast, so a pool
+  of two or more executions never exceeds it.  Single-edge detection
+  stays per node: a block of one with the audit is slower than
+  :meth:`FastEngine.run_detect` on small balls (``docs/engines.md``).
 * **The bit audit is aggregate instead of per-message**: a broadcast
   costs the same bits on every incident edge, so per-round totals,
   maxima and strict-mode budget violations are computed from per-sender
@@ -330,22 +331,17 @@ class FastEngine(CongestEngine):
     # ------------------------------------------------------------------
     # Phase-2 sequence pools
     # ------------------------------------------------------------------
-    # A pool is one repetition's sequences of one round as ``(mat, ptr)``:
-    # node ``v`` holds the rows ``ptr[v]:ptr[v + 1]`` of the ``(rows, t)``
-    # int64 ID matrix ``mat``, in the order the node sent (or received)
-    # them.
+    # A pool is one repetition's sends of one round as ``(mat, ptr)``:
+    # node ``v`` sent the rows ``ptr[v]:ptr[v + 1]`` of the ``(rows, t)``
+    # int64 ID matrix ``mat``, in the order it sent them.  What nodes
+    # receive is an edge pool (see "Algorithm 1 over an edge axis") whose
+    # slot and holder are the receiving vertex.
     @staticmethod
     def _pool(mat: np.ndarray, counts: np.ndarray) -> Pool:
         """A pool from its rows and each node's row count."""
         ptr = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
         return mat, ptr
-
-    @staticmethod
-    def _rows_of(pool: Pool, v: int) -> List[tuple]:
-        """Node ``v``'s sequences in ``pool``, as ID tuples."""
-        mat, ptr = pool
-        return list(map(tuple, mat[ptr[v] : ptr[v + 1]].tolist()))
 
     @staticmethod
     def _blocks(ptr: np.ndarray, senders: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -356,20 +352,36 @@ class FastEngine(CongestEngine):
         at += np.arange(len(at))
         return at, lens
 
-    def _gather(self, matched: np.ndarray, sent: Pool) -> Pool:
-        """What every node receives: each matched half-edge's sender
-        block, concatenated in CSR order.
+    def _order(
+        self, lead: np.ndarray, span: int, mat: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """The order that sorts the rows ``mat[rows]`` by (``lead``,
+        sequence), for ``0 <= lead < span``: one ``argsort`` of a packed
+        int64 key when it fits, a ``lexsort`` otherwise."""
+        base = self._id_base
+        if span * base ** mat.shape[1] < 2**63:
+            key = lead
+            for col in mat.T:
+                key = key * base + col[rows]
+            return np.argsort(key)
+        return np.lexsort((*mat[rows].T[::-1], lead))
+
+    def _gather(self, he: np.ndarray, sent: Pool) -> EdgePool:
+        """What the receivers of the half-edges ``he`` get: each one's
+        sender block, as an edge pool whose slot and holder are the
+        receiving vertex, sorted by (receiver, sequence).
 
         Delivery for the pruner at rounds ``t >= 3``, and at round 2 for
-        a pruner other than :class:`~repro.core.pruning.HittingSetPruner`;
-        round 2 of that pruner and the decision deliver no rows
-        (:meth:`_seed_round`, :meth:`_decide`).
+        a pruner other than :class:`~repro.core.pruning.HittingSetPruner`
+        (:meth:`_edge_round`), and for the decision at the nodes that
+        pass its prefilter (:meth:`_edge_decide`).
         """
         mat, ptr = sent
-        hm = np.flatnonzero(matched)
-        at, lens = self._blocks(ptr, self._he_dst[hm])
-        counts = np.bincount(self._he_src[hm], lens, minlength=len(ptr) - 1)
-        return self._pool(mat[at], counts.astype(np.int64))
+        at, lens = self._blocks(ptr, self._he_dst[he])
+        recv = np.repeat(self._he_src[he], lens)
+        order = self._order(recv, len(ptr) - 1, mat, at)
+        recv = recv[order]
+        return recv, recv, mat[at[order]]
 
     def _seed_round(self, matched: np.ndarray, k: int) -> Pool:
         """Round-2 sends of :class:`~repro.core.pruning.HittingSetPruner`
@@ -398,30 +410,6 @@ class FastEngine(CongestEngine):
         )
         return self._pool(mat, np.minimum(got, k - 1))
 
-    def _apply_round(self, recv: Pool, k: int, t: int, pruner) -> Pool:
-        """Instructions 10–27 at every receiving node: the pruner is
-        greedy and order-dependent, so this is per-node Python."""
-        from ...core.algorithm1 import process_phase2_round
-        from ...core.sequences import sort_sequences
-
-        mat, ptr = recv
-        ids = self._id_list
-        rows = mat.tolist()
-        nodes = np.flatnonzero(np.diff(ptr))
-        sent: List[tuple] = []
-        lens: List[int] = []
-        for v, lo, hi in zip(
-            nodes.tolist(), ptr[nodes].tolist(), ptr[nodes + 1].tolist()
-        ):
-            send = process_phase2_round(
-                ids[v], sort_sequences(map(tuple, rows[lo:hi])), k, t, pruner
-            )
-            sent.extend(send)
-            lens.append(len(send))
-        counts = np.zeros(len(ids), dtype=np.int64)
-        counts[nodes] = lens
-        return self._pool(np.array(sent, dtype=np.int64).reshape(-1, t), counts)
-
     @staticmethod
     def _first_id_range(pool: Pool) -> Tuple[np.ndarray, np.ndarray]:
         """Per node, the smallest and largest first ID of its sequences
@@ -446,23 +434,23 @@ class FastEngine(CongestEngine):
         ``stale`` marks the nodes whose tag switched off the one they
         last sent under.
 
-        Exact prefilter (Lemma 1): every sequence held under a tag starts
-        at an endpoint of that tag's edge, and ``|L1 ∪ L2 ∪ {ID}| = k``
-        needs two disjoint sequences — two received ones for odd ``k``;
-        the node's own last send (unless stale) and a received one for
-        even ``k`` — which start at different endpoints.  So only nodes
-        whose decision inputs start at two different IDs can reject.
-        Each sender's first-ID range over its sends is scattered to its
+        Prefilter (Lemma 1): every sequence held under a tag starts at an
+        endpoint of that tag's edge, and ``|L1 ∪ L2 ∪ {ID}| = k`` needs
+        two disjoint sequences — two received ones for odd ``k``; the
+        node's own last send (unless stale) and a received one for even
+        ``k`` — which start at different endpoints.  So only nodes whose
+        decision inputs start at two different IDs can reject.  Each
+        sender's first-ID range over its sends is scattered to its
         matched receivers (and, for even ``k``, taken as the node's own
-        unless stale), so no row is delivered to find them.  Only they
-        collect what they received — every matched sender's block, in
-        CSR order — and run
-        :func:`~repro.core.algorithm1.find_detection_evidence` on the
-        sorted received list and the own send unless stale.
+        unless stale), so no row is delivered to find them.  A node that
+        passes knows its tag edge's endpoints: they are its two first
+        IDs.  Only those nodes collect what they received, sorted, and
+        :meth:`_edge_decide` runs on them with the receiving vertex as
+        the slot and, for even ``k``, the non-stale ones' own sends:
+        its exact prefilter leaves
+        :func:`~repro.core.algorithm1.find_detection_evidence` only the
+        nodes that can still reject.
         """
-        from ...core.algorithm1 import find_detection_evidence
-        from ...core.sequences import sort_sequences
-
         mat, ptr = sent
         n = len(ptr) - 1
         hm = np.flatnonzero(matched)
@@ -477,23 +465,17 @@ class FastEngine(CongestEngine):
             lo = np.where(stale, lo, np.minimum(lo, send_lo))
             hi = np.where(stale, hi, np.maximum(hi, send_hi))
         can = got & (lo != hi)
-        found: Dict[int, Tuple[int, ...]] = {}
-        keep = np.flatnonzero(can[recv])
+        keep = hm[can[recv]]
         if not len(keep):
-            return found
-        at, lens = self._blocks(ptr, senders[keep])
-        counts = np.bincount(recv[keep], lens, minlength=n)
-        received = self._pool(mat[at], counts.astype(np.int64))
-        for v in np.flatnonzero(can).tolist():
-            cycle = find_detection_evidence(
-                self._id_list[v],
-                k,
-                [] if stale[v] else self._rows_of(sent, v),
-                sort_sequences(self._rows_of(received, v)),
-            )
-            if cycle is not None:
-                found[v] = cycle
-        return found
+            return {}
+        own = None
+        if k % 2 == 0:
+            mine = np.flatnonzero(can & ~stale)
+            at, lens = self._blocks(ptr, mine)
+            holder = np.repeat(mine, lens)
+            own = holder, holder, mat[at]
+        rejects = self._edge_decide(k, lo, hi, self._gather(keep, sent), own)
+        return {v: cycle for _, v, cycle in rejects}
 
     # ------------------------------------------------------------------
     # Phase 1: rank draws
@@ -537,12 +519,14 @@ class FastEngine(CongestEngine):
 
         The rank draws, minimum-rank selection and every round's
         priority rule are array passes over the compiled edges and
-        half-edges; the sequences are int64 ID pools, so the round-2
-        sends, the later rounds' gathers and the decision prefilter are
-        array passes too.  Only the pruner at rounds ``t >= 3`` (or any
-        round, for a pruner other than
-        :class:`~repro.core.pruning.HittingSetPruner`) and the evidence
-        search at nodes that can still reject run per node.
+        half-edges; the sequences are int64 ID pools.  Round 2 of
+        :class:`~repro.core.pruning.HittingSetPruner` is a closed form
+        (:meth:`_seed_round`).  Every other round prunes its sorted
+        deliveries with :meth:`_edge_round`, and the decision runs
+        :meth:`_edge_decide` at the nodes its first-ID prefilter passes
+        — the functions of the edge-axis scan, with the receiving vertex
+        as the slot.  So the pure pruner runs only per group that needs
+        it, and the evidence search only where Lemma 1 allows a reject.
         """
         from ...core.algorithm1 import DetectionOutcome, DetectionOutcomes
         from ...core.phase1 import protocol_rounds
@@ -592,9 +576,10 @@ class FastEngine(CongestEngine):
                     pool = self._seed_round(matched, k)
             else:
                 with prof.phase("priority_mux"):
-                    recv = self._gather(matched, pool)
+                    recv = self._gather(np.flatnonzero(matched), pool)
                 with prof.phase("round_apply"):
-                    pool = self._apply_round(recv, k, t, pruner)
+                    _, holder, mat = self._edge_round(recv, k, t, pruner)
+                    pool = self._pool(mat, np.bincount(holder, minlength=n))
             counts = np.diff(pool[1])
             sending = counts > 0
             senders = np.flatnonzero(sending)
@@ -745,15 +730,9 @@ class FastEngine(CongestEngine):
         src = np.repeat(np.arange(len(holder)), deg)
         first = np.repeat(self._indptr[holder] - (np.cumsum(deg) - deg), deg)
         recv = self._indices[first + np.arange(len(src))]
-        n, base = len(self._ids), self._id_base
-        if len(src) and (int(slot[-1]) + 1) * n * base ** mat.shape[1] < 2**63:
-            # The whole sort key fits one int64: one argsort, no lexsort.
-            key = slot[src] * n + recv
-            for col in mat.T:
-                key = key * base + col[src]
-            order = np.argsort(key)
-        else:
-            order = np.lexsort((*mat[src].T[::-1], recv, slot[src]))
+        n = len(self._ids)
+        span = (int(slot[-1]) + 1) * n if len(slot) else 0
+        order = self._order(slot[src] * n + recv, span, mat, src)
         src = src[order]
         return slot[src], recv[order], mat[src]
 
@@ -776,14 +755,22 @@ class FastEngine(CongestEngine):
         starts = np.flatnonzero(new)
         return starts, np.append(starts[1:], len(slot))
 
-    def _edge_round(self, recv: EdgePool, k: int, t: int) -> EdgePool:
-        """Instructions 10–27 of round ``t`` in every execution at once,
-        under :class:`~repro.core.pruning.HittingSetPruner`.
+    def _edge_round(self, recv: EdgePool, k: int, t: int, pruner) -> EdgePool:
+        """Instructions 10–27 of round ``t`` at every (slot, holder) group
+        of a sorted pool: the round's sends, sorted the same way.
 
-        Instruction 12 is one mask.  Round 2 keeps every sequence (a group
-        holds at most the two endpoint singletons) and a lone sequence is
-        always kept, so the pure pruner runs only on groups of two or
-        more rows at rounds ``t >= 3``.
+        Instruction 12 is one mask.  The pruner then runs once per group,
+        on its rows in ``sort_sequences`` order, and the kept rows keep
+        that order, as :class:`~repro.core.pruning.Pruner` returns them.
+        Under :class:`~repro.core.pruning.HittingSetPruner` a lone row is
+        always kept, and so is every row at round 2 of an Algorithm-1
+        pool, where a group holds at most the two endpoint singletons; so
+        that pruner runs only on groups of two or more rows at rounds
+        ``t >= 3``.  The round-2 shortcut rests on that shape, which a
+        tester pool has only through the priority rule (a node's matched
+        round-2 senders are its winning edge's endpoints); the tester's
+        round 2 under that pruner is :meth:`_seed_round`, which does not
+        rely on it.
         """
         from ...core.pruning import HittingSetPruner
 
@@ -791,17 +778,19 @@ class FastEngine(CongestEngine):
         me = self._ids[holder]
         keep = ~self._contains(mat, me)
         slot, holder, mat, me = slot[keep], holder[keep], mat[keep], me[keep]
-        if t > 2 and len(slot):
+        lazy = type(pruner) is HittingSetPruner
+        if len(slot) and not (lazy and t == 2):
             starts, ends = self._groups(slot, holder)
-            multi = ends - starts > 1
-            starts, ends = starts[multi], ends[multi]
+            if lazy:
+                multi = ends - starts > 1
+                starts, ends = starts[multi], ends[multi]
             if len(starts):
                 # The groups' rows, gathered: group i is rows[lo_i:hi_i].
                 sizes = ends - starts
                 his = np.cumsum(sizes)
                 at = np.repeat(starts - (his - sizes), sizes) + np.arange(his[-1])
                 rows = list(map(tuple, mat[at].tolist()))
-                select = HittingSetPruner().select
+                select = pruner.select
                 flags: List[bool] = []
                 for lo, hi in zip((his - sizes).tolist(), his.tolist()):
                     kept = set(select(rows[lo:hi], k, t))
@@ -829,24 +818,26 @@ class FastEngine(CongestEngine):
         a_ids: np.ndarray,
         b_ids: np.ndarray,
         recv: EdgePool,
-        own: EdgePool,
+        own: Optional[EdgePool],
     ) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
         """Instructions 31–42 in every execution: the rejecting ``(slot,
         vertex, cycle)`` triples, in (slot, vertex) order.
 
-        Exact prefilter (Lemma 1): ``|L1 ∪ L2 ∪ {ID}| = k`` needs two
-        disjoint sequences that start at different endpoints, so each
-        misses the other's endpoint.  A (slot, vertex) group can reject
-        only if it holds a received sequence of one such kind that also
-        misses the vertex's ID, and one of the other kind: received too
-        for odd ``k``, from the vertex's own last send for even ``k``.
-        Only those groups run
+        ``a_ids``/``b_ids`` give each slot's endpoint IDs, and ``own``,
+        read for even ``k`` only, holds the vertices' own last sends,
+        sorted like ``recv``.  Exact prefilter (Lemma 1): ``|L1 ∪ L2 ∪
+        {ID}| = k`` needs two disjoint sequences that start at different
+        endpoints, so each misses the other's endpoint.  A (slot, vertex)
+        group can reject only if it holds a received sequence of one such
+        kind that also misses the vertex's ID, and one of the other kind:
+        received too for odd ``k``, from the vertex's own last send for
+        even ``k``.  Only those groups run
         :func:`~repro.core.algorithm1.find_detection_evidence`.
         """
         from ...core.algorithm1 import find_detection_evidence
 
         slot, holder, mat = recv
-        if not len(slot):
+        if not len(slot) or (k % 2 == 0 and not len(own[0])):
             return
         starts, ends = self._groups(slot, holder)
         from_a, from_b = self._endpoint_kinds(mat, a_ids[slot], b_ids[slot])
@@ -909,14 +900,17 @@ class FastEngine(CongestEngine):
         order; slot ``s`` is edge ``lo + s``.  Each execution's outputs
         are those of :meth:`run_detect` through that edge.
         """
+        from ...core.pruning import HittingSetPruner
+
         u, v = self._edge_ends[:, lo:hi]
         # Round 1: the endpoints broadcast their singleton sequences.
         slot = np.repeat(np.arange(hi - lo), 2)
         holder = np.stack((np.minimum(u, v), np.maximum(u, v)), axis=1).ravel()
         pool, edges = (slot, holder, self._ids[holder][:, None]), hi - lo
+        pruner = HittingSetPruner()
         for t in range(2, k // 2 + 1):
             pool, edges = self._fit_budget(pool, edges)
-            pool = self._edge_round(self._broadcast(pool), k, t)
+            pool = self._edge_round(self._broadcast(pool), k, t, pruner)
         pool, edges = self._fit_budget(pool, edges)
         recv = self._broadcast(pool)
         return lo + edges, self._edge_decide(

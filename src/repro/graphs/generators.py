@@ -565,7 +565,7 @@ def high_girth_graph(n: int, girth_greater_than: int, seed=None) -> Graph:
 
     Starts from a random spanning tree and adds random edges whose insertion
     would not create a cycle of length <= ``girth_greater_than`` (checked by
-    a truncated BFS between the endpoints before insertion).
+    a truncated search from both endpoints before insertion).
     """
     rng = _rng(seed)
     g = random_tree(n, rng)
@@ -599,21 +599,30 @@ def chorded_cycle_graph(k: int, chord: Tuple[int, int] = (0, 2)) -> Graph:
 # Internal helpers
 # ---------------------------------------------------------------------------
 def _bfs_distance_at_most(g: Graph, s: int, t: int, limit: int) -> bool:
-    """Whether dist(s, t) <= limit."""
+    """Whether dist(s, t) <= limit.
+
+    A search from both ends that grows the smaller frontier by one level
+    per step, ``limit`` steps in all, and stops as soon as one side
+    reaches a vertex the other has seen.  It reads the unsorted neighbour
+    sets: :meth:`Graph.neighbors` would re-sort every vertex's
+    neighbours after each insertion of the greedy loop above.
+    """
     if s == t:
         return True
-    seen = {s}
-    frontier = [s]
+    seen = ({s}, {t})
+    frontier = [[s], [t]]
     for _ in range(limit):
+        side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+        mine, theirs = seen[side], seen[1 - side]
         nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if v == t:
+        for u in frontier[side]:
+            for v in g.adjacency_set(u):
+                if v in theirs:
                     return True
-                if v not in seen:
-                    seen.add(v)
+                if v not in mine:
+                    mine.add(v)
                     nxt.append(v)
-        frontier = nxt
-        if not frontier:
+        if not nxt:
             return False
+        frontier[side] = nxt
     return False

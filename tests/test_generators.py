@@ -1,6 +1,9 @@
 """Tests for the graph generators, including the paper-specific families."""
 
 import pytest
+from helpers import graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.graphs import (
@@ -34,6 +37,7 @@ from repro.graphs import (
     torus_graph,
     watts_strogatz_graph,
 )
+from repro.graphs.generators import _bfs_distance_at_most
 
 
 class TestDeterministicFamilies:
@@ -381,3 +385,39 @@ class TestCkFreeInstances:
         g = high_girth_graph(40, girth_greater_than=6, seed=3)
         gg = girth(g)
         assert gg is None or gg > 6
+
+    # Content hashes recorded with the one-sided BFS over sorted
+    # neighbours: the two-sided search must reproduce every seeded
+    # instance exactly.
+    @pytest.mark.parametrize(
+        "n, seed, k, m, digest",
+        [
+            (5000, 1, 8, 10815, "e52b1e05630b6bb2c1d2c306c1ad00dd"
+                                "27bb6550518014712f9cbd9f74e0092f"),
+            (2000, 3, 6, 5551, "e0d289a2d3b3254572b4caebc8de5770"
+                               "8932bf446f47a24383ed587f0c2a2c07"),
+            (1000, 2, 10, 1433, "fe5dbdd3313f69eb68de9fcf295b65f9"
+                                "d9096fc0bc476c9a8030b6920c4dbbc7"),
+        ],
+    )
+    def test_even_k_seeded_output_is_pinned(self, n, seed, k, m, digest):
+        g = ck_free_graph(n, k, seed=seed)
+        assert g.m == m
+        assert g.content_hash() == digest
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs(n_lo=1, n_hi=12), data=st.data())
+    def test_distance_check_matches_a_plain_bfs(self, g, data):
+        s = data.draw(st.integers(0, g.n - 1))
+        t = data.draw(st.integers(0, g.n - 1))
+        limit = data.draw(st.integers(0, 8))
+        dist = {s: 0}
+        queue = [s]
+        for u in queue:
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        assert _bfs_distance_at_most(g, s, t, limit) == (
+            t in dist and dist[t] <= limit
+        )

@@ -12,11 +12,15 @@ positions from a stable sort, forced by lowering ``_PACKED_MAX_M``.
 
 The round-2 closed form (``FastEngine._seed_round``) is checked against
 "each node's first ``k − 1`` matched neighbours by ID" under every ID
-assigner, and the decision (``FastEngine._decide``), which scatters
-first-ID ranges instead of delivering rows, against the materialised
-path: every row delivered, the Lemma-1 ranges taken over them, and
-:func:`~repro.core.algorithm1.find_detection_evidence` run at the nodes
-that pass.
+assigner.  The pruning step that the tester and the edge-axis scan share
+(``FastEngine._edge_round``) is checked against per-group
+:func:`~repro.core.algorithm1.process_phase2_round` on random sorted
+pools under both pruners.  The decision (``FastEngine._decide``), which
+scatters first-ID ranges instead of delivering rows, is checked against
+the materialised path: every row delivered, the exact Lemma-1 filter
+taken over them, and
+:func:`~repro.core.algorithm1.find_detection_evidence` run at every node
+that receives anything.
 """
 
 from unittest import mock
@@ -37,8 +41,9 @@ from repro.congest.ids import (
 )
 from repro.congest.network import Network
 from repro.core import algorithm1
-from repro.core.sequences import sort_sequences
+from repro.core.pruning import ExplicitPruner, HittingSetPruner
 from repro.graphs.generators import erdos_renyi_gnp
+from repro.graphs.graph import Graph
 
 INF = int(_INF)
 
@@ -227,6 +232,69 @@ def test_seed_round_sends_the_first_matched_neighbours_by_id(g, assigner, k, dat
     assert np.diff(ptr).tolist() == expected_counts
 
 
+@st.composite
+def round_pools(draw):
+    """A sorted edge pool of round ``t`` and its pruner.
+
+    Several slots, each with a few holders, and groups of 1–8 distinct
+    rows of ``t − 1`` distinct IDs; many rows hold their holder's ID.
+    ``HittingSetPruner`` gets round-2 groups in Algorithm-1 shape (at
+    most the slot's two endpoint singletons), ``ExplicitPruner`` any
+    groups."""
+    k = draw(st.integers(4, 9))
+    t = draw(st.integers(2, k // 2))
+    explicit = draw(st.booleans())
+    n = 8
+    net = Network(Graph(n), RandomPermutationIds(seed=draw(st.integers(0, 99))))
+    ids = net.ids()
+    row = st.lists(
+        st.sampled_from(ids), min_size=t - 1, max_size=t - 1, unique=True
+    ).map(tuple)
+    groups = []
+    for s in range(draw(st.integers(1, 3))):
+        ends = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2,
+                             unique=True))
+        holders = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=3, unique=True))
+        for v in sorted(holders):
+            if t == 2 and not explicit:
+                rows = draw(st.lists(st.sampled_from(ends), min_size=1,
+                                     max_size=2, unique=True))
+                rows = [(x,) for x in rows]
+            else:
+                rows = draw(st.lists(row, min_size=1, max_size=8, unique=True))
+            groups.append((s, v, sorted(rows)))
+    pruner = ExplicitPruner() if explicit else HittingSetPruner()
+    return FastEngine(net), k, t, pruner, groups
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=round_pools())
+def test_edge_round_is_per_group_process_phase2_round(case):
+    eng, k, t, pruner, groups = case
+    ids = eng.network.ids()
+    slot = [s for s, _, rows in groups for _ in rows]
+    holder = [v for _, v, rows in groups for _ in rows]
+    mat = [r for _, _, rows in groups for r in rows]
+    pool = (
+        np.array(slot, dtype=np.int64),
+        np.array(holder, dtype=np.int64),
+        np.array(mat, dtype=np.int64).reshape(-1, t - 1),
+    )
+    want_slot, want_holder, want_rows = [], [], []
+    for s, v, rows in groups:
+        sends = algorithm1.process_phase2_round(ids[v], rows, k, t, pruner)
+        want_slot += [s] * len(sends)
+        want_holder += [v] * len(sends)
+        want_rows += sends
+    out_slot, out_holder, out_mat = eng._edge_round(pool, k, t, pruner)
+    assert out_mat.dtype == np.int64 and out_mat.shape == (len(want_rows), t)
+    assert out_slot.tolist() == want_slot
+    assert out_holder.tolist() == want_holder
+    assert list(map(tuple, out_mat.tolist())) == want_rows
+
+
 def _instances(k):
     """Graphs with k-cycles, a vertex of degree one and isolated
     vertices, each under two ID assigners."""
@@ -241,44 +309,66 @@ def _instances(k):
     return out
 
 
-def _materialised_decision(eng, k, matched, sent, stale, evidence):
-    """The decision with every row delivered: ``(calls, found,
-    unfiltered, received)``.
+def _rows(pool, v):
+    """Node ``v``'s rows of a ``(mat, ptr)`` send pool, as ID tuples."""
+    mat, ptr = pool
+    return list(map(tuple, mat[ptr[v] : ptr[v + 1]].tolist()))
 
-    ``calls`` lists the ``find_detection_evidence`` arguments at the
-    nodes whose Lemma-1 ranges over the delivered rows pass, ``found``
-    their rejects, and ``unfiltered`` the rejects of every node that
-    receives anything."""
+
+def _materialised_decision(eng, k, matched, sent, stale, evidence):
+    """The decision with every row delivered.
+
+    Returns ``(candidates, exact, unfiltered, received)``: the nodes
+    whose decision inputs start at two different IDs (the first-ID
+    prefilter), the ``find_detection_evidence`` arguments of the nodes
+    that pass the exact Lemma-1 filter, in vertex order, the rejects of
+    every node that receives anything, and the receiving-node mask."""
     ids = eng.network.ids()
-    recv = eng._gather(matched, sent)
-    lo, hi = eng._first_id_range(recv)
-    own_lo, own_hi = eng._first_id_range(sent)
-    for pool, p_lo, p_hi in ((recv, lo, hi), (sent, own_lo, own_hi)):
-        for v in range(len(ids)):
-            firsts = [row[0] for row in eng._rows_of(pool, v)]
-            assert (p_lo[v], p_hi[v]) == (
-                (min(firsts), max(firsts)) if firsts else (np.iinfo(np.int64).max, -1)
-            )
-    if k % 2 == 0:
-        lo = np.where(stale, lo, np.minimum(lo, own_lo))
-        hi = np.where(stale, hi, np.maximum(hi, own_hi))
-    received = np.diff(recv[1]) > 0
-    calls, found, unfiltered = [], {}, {}
-    for v in np.flatnonzero(received).tolist():
-        args = (
-            ids[v],
-            k,
-            [] if stale[v] else eng._rows_of(sent, v),
-            sort_sequences(eng._rows_of(recv, v)),
+    n = len(ids)
+    lo, hi = eng._first_id_range(sent)
+    for v in range(n):
+        firsts = [row[0] for row in _rows(sent, v)]
+        assert (lo[v], hi[v]) == (
+            (min(firsts), max(firsts)) if firsts else (np.iinfo(np.int64).max, -1)
         )
-        cycle = evidence(*args)
+    got = [[] for _ in range(n)]
+    for h in np.flatnonzero(matched).tolist():
+        got[eng._he_src[h]] += _rows(sent, eng._he_dst[h])
+    candidates, exact, unfiltered = [], [], {}
+    for v in range(n):
+        if not got[v]:
+            continue
+        me = ids[v]
+        received = sorted(got[v])
+        own = _rows(sent, v) if k % 2 == 0 and not stale[v] else []
+        cycle = evidence(me, k, own, received)
         if cycle is not None:
             unfiltered[v] = cycle
-        if lo[v] != hi[v]:
-            calls.append(args)
-            if cycle is not None:
-                found[v] = cycle
-    return calls, found, unfiltered, received
+        firsts = {row[0] for row in received + own}
+        # Lemma 1: every input starts at an endpoint of the tag's edge.
+        assert len(firsts) <= 2
+        if len(firsts) < 2:
+            continue
+        candidates.append(v)
+        a, b = sorted(firsts)
+
+        def kinds(rows):
+            return (
+                any(r[0] == a and b not in r and me not in r for r in rows),
+                any(r[0] == b and a not in r and me not in r for r in rows),
+            )
+
+        recv_a, recv_b = kinds(received)
+        # Own sends end with the node's ID; drop it to ask for the kind.
+        own_a, own_b = kinds([r[:-1] for r in own])
+        if k % 2:
+            passes = recv_a and recv_b
+        else:
+            passes = (recv_a and own_b) or (recv_b and own_a)
+        if passes:
+            exact.append((me, k, own, received))
+    received = np.array([bool(rows) for rows in got])
+    return candidates, exact, unfiltered, received
 
 
 @pytest.mark.parametrize("limit", LIMITS, ids=["packed", "dense"])
@@ -294,17 +384,23 @@ def test_decision_matches_the_materialised_path(monkeypatch, k, limit):
 
     monkeypatch.setattr(algorithm1, "find_detection_evidence", spy)
     decide = FastEngine._decide
-    seen = dict(candidates=0, rejects=0, stale_receivers=0, silent=0, isolated=0)
+    seen = dict(candidates=0, dropped=0, rejects=0, stale_receivers=0,
+                silent=0, isolated=0)
 
     def checked(self, k, matched, sent, stale):
         calls.clear()
         found = decide(self, k, matched, sent, stale)
-        want_calls, want_found, unfiltered, received = _materialised_decision(
+        candidates, exact, unfiltered, received = _materialised_decision(
             self, k, matched, sent, stale, evidence
         )
-        assert calls == want_calls
-        assert found == want_found == unfiltered
-        seen["candidates"] += len(want_calls)
+        ids = self.network.ids()
+        called = [args[0] for args in calls]
+        assert set(called) <= {ids[v] for v in candidates}
+        assert {ids[v] for v in unfiltered} <= set(called)
+        assert calls == exact
+        assert found == unfiltered
+        seen["candidates"] += len(candidates)
+        seen["dropped"] += len(candidates) - len(exact)
         seen["rejects"] += len(found)
         seen["stale_receivers"] += int((stale & received).sum())
         seen["silent"] += int((~received).sum())
@@ -316,5 +412,26 @@ def test_decision_matches_the_materialised_path(monkeypatch, k, limit):
         eng = FastEngine(net)
         for seed in range(4):
             eng.run_tester_repetition(k, seed)
-    # The grid reaches every case the decision distinguishes.
+    # The grid reaches every case the decision distinguishes, including
+    # a first-ID candidate that the exact filter drops.  (At k = 3 every
+    # received row is a neighbour's singleton, so there is none.)
+    if k == 3:
+        assert seen.pop("dropped") == 0
     assert all(seen.values()), seen
+
+
+def test_decision_with_every_candidate_stale():
+    """Even k, and the one node whose received rows start at two
+    different IDs switched its tag: no own sends reach the exact filter,
+    and nothing rejects."""
+    eng = FastEngine(Network(Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4)])))
+    # Nodes 1 and 2 last sent (3, 1) and (4, 2); node 0 hears both.
+    sent = eng._pool(
+        np.array([[3, 1], [4, 2]], dtype=np.int64),
+        np.array([0, 1, 1, 0, 0], dtype=np.int64),
+    )
+    matched = eng._he_src == 0
+    stale = np.array([True, False, False, False, False])
+    assert eng._decide(4, matched, sent, stale) == {}
+    # Not stale, but it sent nothing: again no own sends.
+    assert eng._decide(4, matched, sent, ~stale) == {}
