@@ -30,6 +30,7 @@ from ..graphs.behrend import behrend_cycle_graph
 from ..graphs.cycles import has_cycle_through_edge
 from ..graphs.farness import greedy_cycle_packing, lemma4_bound
 from ..graphs.graph import Graph
+from ..seeds import repetition_seeds
 from .tables import Table
 
 __all__ = [
@@ -234,7 +235,7 @@ def run_phase1_statistics(
     """
     from ..core.phase1 import edge_ranks
 
-    rep_seeds = np.random.SeedSequence(seed).generate_state(trials).tolist()
+    rep_seeds = repetition_seeds(seed, trials)
     table = Table(
         ["m", "trials", "P[distinct] empirical", "exact", "lemma5 bound", "ok"],
         title="T4 - Lemma 5 rank-collision statistics",

@@ -26,6 +26,7 @@ from ..congest.node import NodeContext, NodeProgram, Outbox
 from ..congest.scheduler import SynchronousScheduler
 from ..errors import ConfigurationError
 from ..graphs.graph import Graph
+from ..seeds import repetition_seeds
 
 __all__ = ["TriangleProbeProgram", "TriangleTesterCHFSV", "TriangleTesterResult"]
 
@@ -101,8 +102,7 @@ class TriangleTesterCHFSV:
         """Execute the triangle tester on ``graph`` and aggregate verdicts."""
         net = Network(graph)
         scheduler = SynchronousScheduler(net)
-        ss = np.random.SeedSequence(seed)
-        rep_seeds = ss.generate_state(self.repetitions)
+        rep_seeds = repetition_seeds(seed, self.repetitions)
         run_count = 0
         for i in range(self.repetitions):
             rep_seed = int(rep_seeds[i])

@@ -345,13 +345,14 @@ def fast_phases(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     from ..congest.engine import PhaseProfiler, create_engine
     from ..congest.network import Network
     from ..graphs.generators import ck_free_graph
+    from ..seeds import repetition_seeds
 
     k, reps = case["k"], case["reps"]
     ceilings = _PHASE_CEILINGS[k]
     g = ck_free_graph(case["n"], k, seed=1)
     indptr = g.to_csr()[0]
     net = Network(g)
-    rep_seeds = np.random.SeedSequence(seed).generate_state(reps).tolist()
+    rep_seeds = repetition_seeds(seed, reps)
     profiler = PhaseProfiler()
     eng = create_engine("fast", net, profiler=profiler)
     runs, yards = [], []
@@ -1202,10 +1203,9 @@ def certify_scan(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     edges = g.edge_list()
     step = max(1, len(edges) // case["sample_edges"])
     sample = edges[::step][: case["sample_edges"]]
-    csr = g.to_csr()
     t0 = time.perf_counter()
     for edge in sample:
-        assert _detect_local(g, edge, k, engine="fast", csr=csr)[1] is None
+        assert _detect_local(g, edge, k, engine="fast")[1] is None
     ball_scan_s = (time.perf_counter() - t0) * g.m / len(sample)
     speedup = ball_scan_s / max(scan_s, 1e-12)
     assert speedup >= case["min_speedup"], (
@@ -1220,6 +1220,103 @@ def certify_scan(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
         "ball_scan_ms": ball_scan_s * 1e3,
         "speedup": speedup,
     }
+
+
+#: Ceiling on a churn step's median at the largest size over its median at
+#: n = 2000.  The step walks the inserted edge's ⌊k/2⌋-ball, so the ratio
+#: stays near 1 (0.6-1.4 at 2*10^4 and 10^5 on a shared 2-core host, where
+#: either median moves by up to ~1.5x between runs); exporting the whole
+#: graph per step read 8.2 at 2*10^4 and 49-76 at 10^5.
+_MAX_STEP_RATIO = 3.0
+
+
+def _bipartite_churn(n: int, steps: int, seed: int):
+    """A random bipartite G(n, 2n) and ``steps`` churn steps on it.
+
+    Returns ``(graph, churn)``: each of the ``steps`` ``(insert, delete)``
+    mutation pairs inserts an absent edge across the halves ``[0, n/2)``
+    and ``[n/2, n)`` and deletes an edge present before it, so the graph
+    stays C5-free with 2n edges.
+    """
+    import random
+
+    from ..dynamic import Mutation
+    from ..graphs import Graph
+
+    rng = random.Random(seed)
+    half = n // 2
+
+    def cross_edge():
+        return rng.randrange(half), rng.randrange(half, n)
+
+    where: Dict[tuple, int] = {}
+    while len(where) < 2 * n:
+        where.setdefault(cross_edge(), len(where))
+    present = list(where)
+    graph = Graph(n, present)
+    churn = []
+    for _ in range(steps):
+        added = cross_edge()
+        while added in where:
+            added = cross_edge()
+        removed = present[rng.randrange(len(present))]
+        last = present.pop()
+        if last != removed:
+            present[where[removed]] = last
+            where[last] = where[removed]
+        del where[removed]
+        where[added] = len(present)
+        present.append(added)
+        churn.append((Mutation("add_edge", *added), Mutation("remove_edge", *removed)))
+    return graph, churn
+
+
+@benchmark(
+    "dynamic",
+    # perfbench's monitor-churn step (k = 5, bipartite G(n, 2n)) at sizes
+    # beyond its n = 2000: a local recheck must cost its ball, not n + m.
+    smoke=[{"sizes": [2000, 20_000], "steps": 300, "k": 5}],
+    default=[{"sizes": [2000, 100_000], "steps": 300, "k": 5}],
+)
+def monitor_step(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Churn-step latency of a ``fast`` CkMonitor as n grows.
+
+    Each step inserts a cross edge (a local recheck that accepts) and
+    deletes another edge (a cache hit).  The median step at the largest
+    size is gated at ``_MAX_STEP_RATIO`` times the median at the
+    smallest; the balls' total vertex count is an exact integer.
+    """
+    from ..dynamic import CkMonitor
+    from ..dynamic.monitor import CACHE_HIT, LOCAL_RECHECK, k_neighborhood_ball
+
+    k = case["k"]
+    metrics: Dict[str, Any] = {"ball_vertices": 0}
+    medians = []
+    for n in case["sizes"]:
+        graph, churn = _bipartite_churn(n, case["steps"], seed)
+        monitor = CkMonitor(graph, k, engine="fast", seed=seed)
+        assert monitor.accepted, "a bipartite graph has no 5-cycle"
+        times = []
+        for insert, delete in churn:
+            t0 = time.perf_counter()
+            inserted = monitor.apply(insert)
+            t1 = time.perf_counter()
+            ball = k_neighborhood_ball(monitor.graph, insert.edge, k // 2)
+            metrics["ball_vertices"] += len(ball)
+            t2 = time.perf_counter()
+            deleted = monitor.apply(delete)
+            times.append(t1 - t0 + time.perf_counter() - t2)
+            assert inserted.action == LOCAL_RECHECK and inserted.accepted
+            assert deleted.action == CACHE_HIT and deleted.accepted
+        medians.append(float(np.median(times)) * 1e3)
+        metrics[f"p50_ms_n{n}"] = medians[-1]
+    ratio = medians[-1] / medians[0]
+    assert ratio <= _MAX_STEP_RATIO, (
+        f"a churn step at n={case['sizes'][-1]} took {ratio:.2f}x its time "
+        f"at n={case['sizes'][0]} (limit {_MAX_STEP_RATIO}x)"
+    )
+    metrics["step_ratio"] = ratio
+    return metrics
 
 
 # ---------------------------------------------------------------------------

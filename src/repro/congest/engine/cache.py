@@ -25,9 +25,11 @@ Three properties keep cached execution bit-identical to uncached:
   registries into the result store; keeping cache bookkeeping out of
   them preserves the serial == parallel byte-identity of campaign JSONL.
 
-The cache also memoises plain CSR exports (:meth:`EngineCache.csr`) for
-the dynamic monitor's ⌊k/2⌋-ball extraction, under the same LRU bound
-and the same content-hash keying.
+The cache can also memoise plain CSR exports (:meth:`EngineCache.csr`),
+under the same LRU bound and the same content-hash keying.  Nothing in
+the library calls it any more: the dynamic monitor walks each ⌊k/2⌋-ball
+on the live graph.  It stays only because the repository benchmark's
+tracer (``perfbench/layers.py``) wraps it by name.
 
 Engines compiled with a fault model are never cached: fault models are
 stateful (they carry their own RNG stream), so two runs through one
@@ -119,9 +121,12 @@ class EngineCache:
         Keyed by content hash like engine entries; the arrays are
         consistent snapshots, safe to hold across later mutations of
         ``graph``.  A caller that already knows a unique identity for
-        the current content (e.g. the dynamic monitor's never-reused
-        version tokens) may pass it as ``key`` to skip the hash; the
+        the current content may pass it as ``key`` to skip the hash; the
         caller then owns the correctness of that keying.
+
+        No code in the library calls this method; the repository
+        benchmark's tracer wraps it by name, so it stays until that
+        tracer stops doing so.
         """
         key = ("csr", graph.content_hash() if key is None else key)
         arrays = self._entries.get(key)

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..congest.engine import ensure_engine_available, create_engine
 from ..congest.network import Network
 from ..errors import ConfigurationError
 from ..graphs.graph import Graph
+from ..seeds import repetition_seeds
 from .bounds import repetitions_needed, rounds_per_repetition
 from .pruning import HittingSetPruner, Pruner
 from .verdict import RepetitionReport, TesterResult
@@ -157,8 +156,7 @@ class CkFreenessTester:
                 self.engine, net, strict_bandwidth=self._strict,
                 faults=self._faults, telemetry=telemetry,
             )
-        ss = np.random.SeedSequence(seed)
-        rep_seeds = ss.generate_state(self.repetitions)
+        rep_seeds = repetition_seeds(seed, self.repetitions)
 
         result = TesterResult(
             accepted=True,

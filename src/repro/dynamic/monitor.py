@@ -48,18 +48,15 @@ every timestep, for both engines.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..congest.engine.cache import EngineCache
 from ..core.algorithm1 import detect_cycle_through_edge, record_detections
 from ..core.tester import CkFreenessTester
 from ..errors import ConfigurationError
 from ..graphs.graph import Graph
-from ..runner.runtable import derive_seed
+from ..seeds import derive_seed
 from .graph import DynamicGraph
 from .mutations import ADD_EDGE, ADD_VERTEX, REMOVE_EDGE, Mutation
 
@@ -88,6 +85,11 @@ def k_neighborhood_ball(
     Returned sorted.  Every k-cycle through ``edge = {u, v}`` lies inside
     the ball of radius ``⌊k/2⌋``: walking the cycle from the edge, each
     vertex is at hop distance at most ``⌊(k-1)/2⌋`` from ``u`` or ``v``.
+
+    This is the walk of every local recheck.  It reads
+    :meth:`~repro.graphs.graph.Graph.neighbors`, which is memoised per
+    vertex and cleared by a mutation for its endpoints only, so on a live
+    graph it costs the ball's rows, not the graph.
     """
     u, v = edge
     seen = {u: 0, v: 0}
@@ -105,61 +107,25 @@ def k_neighborhood_ball(
     return sorted(seen)
 
 
-def _csr_ball(
-    indptr: np.ndarray, indices: np.ndarray, edge: Tuple[int, int], radius: int
-) -> np.ndarray:
-    """:func:`k_neighborhood_ball` over CSR arrays (sorted int64 array).
+def _ball_subgraph(graph: Graph, ball: List[int]) -> Graph:
+    """Induced subgraph of the sorted ``ball``, relabelled to
+    ``0..len(ball)-1`` (equal to ``graph.subgraph(ball)``).
 
-    Vectorised BFS: each level gathers the frontier's adjacency slices
-    in one shot instead of walking Python neighbour tuples — and, unlike
-    :meth:`~repro.graphs.graph.Graph.neighbors`, never touches the
-    graph's whole-adjacency sorted cache (which every mutation
-    invalidates, making the Python BFS O(n + m) per insertion).
+    Each ball row's sorted neighbours are mapped through the ball's
+    position index, and each edge is kept once, from its smaller end, so
+    the edges come in ascending (position, neighbour) order: the sorted
+    canonical order that ``from_canonical_edge_arrays`` trusts.
     """
-    dist = np.full(indptr.shape[0] - 1, -1, dtype=np.int64)
-    frontier = np.array(edge, dtype=np.int64)
-    dist[frontier] = 0
-    for _ in range(radius):
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        offsets = np.repeat(
-            starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        )
-        neighbors = np.unique(indices[np.arange(total) + offsets])
-        frontier = neighbors[dist[neighbors] < 0]
-        if frontier.size == 0:
-            break
-        dist[frontier] = 1
-    return np.nonzero(dist >= 0)[0]
-
-
-def _csr_ball_subgraph(
-    indptr: np.ndarray, indices: np.ndarray, ball: np.ndarray
-) -> Graph:
-    """Induced subgraph of the sorted ``ball``, relabelled to 0..|ball|-1.
-
-    Array-level equivalent of ``graph.subgraph(ball)``: gather the ball
-    rows of the CSR, map endpoints through the ball's position index,
-    and keep each surviving edge once (``u < v``).
-    """
-    nb = int(ball.size)
-    position = np.full(indptr.shape[0] - 1, -1, dtype=np.int64)
-    position[ball] = np.arange(nb, dtype=np.int64)
-    starts = indptr[ball]
-    counts = indptr[ball + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return Graph(nb)
-    offsets = np.repeat(
-        starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-    )
-    heads = position[indices[np.arange(total) + offsets]]
-    tails = np.repeat(position[ball], counts)
-    keep = (heads >= 0) & (tails < heads)
-    return Graph.from_canonical_edge_arrays(nb, tails[keep], heads[keep])
+    position = {vertex: i for i, vertex in enumerate(ball)}
+    tails: List[int] = []
+    heads: List[int] = []
+    for i, vertex in enumerate(ball):
+        for w in graph.neighbors(vertex):
+            j = position.get(w)
+            if j is not None and i < j:
+                tails.append(i)
+                heads.append(j)
+    return Graph.from_canonical_edge_arrays(len(ball), tails, heads)
 
 
 def _detect_local(
@@ -170,7 +136,6 @@ def _detect_local(
     engine: str,
     faults=None,
     telemetry=None,
-    csr: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[int, Optional[Tuple[int, ...]]]:
     """Run Algorithm 1 through ``edge`` inside its k-neighbourhood ball.
 
@@ -180,18 +145,13 @@ def _detect_local(
     edge, the induced subgraph keeps all of their edges, and any cycle
     found in the subgraph exists in the full graph.
 
-    Ball and subgraph come from ``graph``'s CSR ``(indptr, indices)``
-    export: ``csr`` when given (a cached export of the same content),
-    else :meth:`~repro.graphs.graph.Graph.to_csr`, which is memoised
-    until the next mutation.
+    Ball and subgraph are read from ``graph``'s memoised neighbour rows,
+    so the cost is the ball's, with no whole-graph export.
     """
-    indptr, indices = csr if csr is not None else graph.to_csr()
-    ball_arr = _csr_ball(indptr, indices, edge, k // 2)
-    ball = ball_arr.tolist()
-    sub = _csr_ball_subgraph(indptr, indices, ball_arr)
-    index = {vertex: i for i, vertex in enumerate(ball)}
+    ball = k_neighborhood_ball(graph, edge, k // 2)
+    sub = _ball_subgraph(graph, ball)
     det = detect_cycle_through_edge(
-        sub, (index[edge[0]], index[edge[1]]), k,
+        sub, (ball.index(edge[0]), ball.index(edge[1])), k,
         engine=engine, faults=faults, telemetry=telemetry,
     )
     cycle = det.any_cycle_ids() if det.detected else None
@@ -243,9 +203,9 @@ def full_redetect(
     This is also the "naive per-step re-detection" baseline the dynamic
     benchmarks measure the monitor's caching against.  With an
     :class:`~repro.congest.engine.cache.EngineCache` the tester reuses
-    its compiled engine and the exact path reads its compiled instance
-    or CSR export from the cache; verdicts and witnesses are identical
-    either way.
+    its compiled engine and the ``fast`` exact path reads its compiled
+    instance from the cache; verdicts and witnesses are identical either
+    way.
     """
     from ..obs import resolve_telemetry
 
@@ -272,13 +232,11 @@ def full_redetect(
             witness = None if hit is None else hit[1]
             record_detections(tel, engine, edges, int(hit is not None))
         else:
-            csr = cache.csr(graph) if cache is not None else None
             edges, witness = 0, None
             for edge in graph.edges():
                 edges += 1
                 _, witness = _detect_local(
-                    graph, edge, k, engine=engine, faults=faults,
-                    telemetry=tel, csr=csr,
+                    graph, edge, k, engine=engine, faults=faults, telemetry=tel
                 )
                 if witness is not None:
                     break
@@ -326,10 +284,6 @@ class StepRecord:
     flipped: bool
 
 
-#: Monotonic source of monitor identities for version-keyed CSR caching.
-_MONITOR_TOKENS = itertools.count()
-
-
 class CkMonitor:
     """Exact incremental C_k-freeness verdict over a mutation stream.
 
@@ -360,12 +314,13 @@ class CkMonitor:
         counters, ball-size histograms and ``monitor.*`` spans.
     cache:
         The :class:`~repro.congest.engine.cache.EngineCache` that holds
-        the compiled tester engine of full re-tests and the CSR export
-        of each graph version, from which ⌊k/2⌋-ball subgraphs are
-        extracted.  ``None`` (default) gives the monitor a private
-        cache; pass one instance to share it (e.g. across all sessions
-        of a detection service).  The per-step verdict, witness and
-        action stream do not depend on which cache is used.
+        the compiled engine of full re-tests (the tester and, on
+        ``fast``, the exact scan).  Local rechecks do not use it: they
+        walk the ⌊k/2⌋-ball on the live graph.  ``None`` (default) gives
+        the monitor a private cache; pass one instance to share it (e.g.
+        across all sessions of a detection service).  The per-step
+        verdict, witness and action stream do not depend on which cache
+        is used.
     """
 
     def __init__(
@@ -393,10 +348,6 @@ class CkMonitor:
         self._faults = faults
         self._telemetry = resolve_telemetry(telemetry)
         self._cache = cache if cache is not None else EngineCache()
-        # Never-reused identity for version-keyed CSR cache entries (an
-        # id()-based key could collide after garbage collection when the
-        # cache outlives the monitor).
-        self._csr_token = next(_MONITOR_TOKENS)
         self.dynamic = (
             graph if isinstance(graph, DynamicGraph) else DynamicGraph(graph)
         )
@@ -454,7 +405,7 @@ class CkMonitor:
                 ball, witness = _detect_local(
                     self.graph, mutation.edge, self.k,
                     engine=self.engine, faults=self._faults,
-                    telemetry=self._telemetry, csr=self._current_csr(),
+                    telemetry=self._telemetry,
                 )
                 if self._telemetry.enabled:
                     self._telemetry.histogram(
@@ -539,17 +490,6 @@ class CkMonitor:
             if ((u, v) if u < v else (v, u)) == target:
                 return True
         return False
-
-    def _current_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR arrays of the current graph version, from the cache.
-
-        Keyed by ``(monitor identity, version)`` — unique per content
-        for this monitor's lifetime — so per-insertion rechecks skip
-        the content hash.
-        """
-        return self._cache.csr(
-            self.graph, key=("monitor-csr", self._csr_token, self.version)
-        )
 
     def _full_redetect(self) -> Tuple[bool, Optional[Tuple[int, ...]]]:
         """From-scratch detection at the current version's step seed."""

@@ -72,7 +72,7 @@ class EdgeStream:
 #: A scenario factory: ``(working_graph, rng, params) -> mutations``.
 #: The working graph is a private copy the factory may mutate while
 #: generating (so each step can depend on the current state).
-StreamFunc = Callable[[Graph, np.random.Generator, Dict[str, Any]], List[Mutation]]
+StreamFunc = Callable[[Graph, "np.random.Generator", Dict[str, Any]], List[Mutation]]
 
 
 @dataclass(frozen=True)

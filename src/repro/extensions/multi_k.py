@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence
 
-import numpy as np
-
 from ..congest.network import Network
 from ..congest.node import Broadcast, NodeContext, NodeProgram, Outbox
 from ..congest.scheduler import SynchronousScheduler
@@ -25,6 +23,7 @@ from ..core.phase1 import MultiplexedCkProgram, protocol_rounds
 from ..core.pruning import Pruner
 from ..errors import ConfigurationError
 from ..graphs.graph import Graph
+from ..seeds import repetition_seeds
 
 __all__ = ["MultiKProgram", "MultiKResult", "scan_cycle_lengths"]
 
@@ -146,8 +145,7 @@ def scan_cycle_lengths(
     if graph.m == 0:
         return MultiKResult(detected, evidence, 0, None)
     scheduler = SynchronousScheduler(net)
-    ss = np.random.SeedSequence(seed)
-    rep_seeds = ss.generate_state(repetitions)
+    rep_seeds = repetition_seeds(seed, repetitions)
     num_rounds = max(protocol_rounds(k) for k in ks)
     for i in range(repetitions):
         rep_seed = int(rep_seeds[i])

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from ..congest.network import Network
 from ..congest.node import Broadcast, NodeContext, NodeProgram, Outbox
 from ..congest.scheduler import SynchronousScheduler
@@ -29,6 +27,7 @@ from ..core.phase1 import MultiplexedCkProgram, protocol_rounds
 from ..core.pruning import Pruner
 from ..errors import ConfigurationError
 from ..graphs.graph import Graph
+from ..seeds import repetition_seeds
 
 __all__ = ["BatchedCkProgram", "BatchedCkTester", "BatchedResult"]
 
@@ -150,8 +149,7 @@ class BatchedCkTester:
         if graph.m == 0:
             return BatchedResult(True, None, 0, 0, None)
         net = network if network is not None else Network(graph)
-        ss = np.random.SeedSequence(seed)
-        rep_seeds = tuple(int(s) for s in ss.generate_state(self.repetitions))
+        rep_seeds = tuple(repetition_seeds(seed, self.repetitions))
         run = SynchronousScheduler(net).run(
             lambda ctx: BatchedCkProgram(ctx, self.k, rep_seeds, pruner=self._pruner),
             num_rounds=protocol_rounds(self.k),

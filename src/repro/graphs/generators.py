@@ -604,8 +604,7 @@ def _bfs_distance_at_most(g: Graph, s: int, t: int, limit: int) -> bool:
     A search from both ends that grows the smaller frontier by one level
     per step, ``limit`` steps in all, and stops as soon as one side
     reaches a vertex the other has seen.  It reads the unsorted neighbour
-    sets: :meth:`Graph.neighbors` would re-sort every vertex's
-    neighbours after each insertion of the greedy loop above.
+    sets: the search needs no order.
     """
     if s == t:
         return True

@@ -19,20 +19,22 @@ and :meth:`Graph.copy` of a fresh graph allocate no Python set per
 vertex.
 
 Derived views — the adjacency sets, the sorted neighbour tuples, the
-CSR export and the content hash — are memoised on first use, and every
-mutation clears all but the sets, which it updates, so repeated reads
-of an unchanged graph cost nothing.  Memo writes happen in readers: a
-graph shared between threads needs the same external serialisation of
-reads against mutations that the sorted neighbour cache has always
-needed.
+CSR export and the content hash — are memoised on first use, so
+repeated reads of an unchanged graph cost nothing.  A mutation updates
+the sets, clears the sorted tuples of its endpoints only, and clears
+the CSR export and the hash, so a walk over a few vertices after a
+mutation re-sorts those vertices' rows, not the graph's.  Memo writes
+happen in readers: a graph shared between threads needs the same
+external serialisation of reads against mutations that the sorted
+neighbour cache has always needed.
 
 Until its first edge removal a graph keeps that log of the endpoints of
 every edge it inserts, in insertion order.  Its first insertion turns
 the two arrays into int lists that :meth:`Graph.add_edge` appends to;
-:meth:`Graph.add_vertex` keeps the log and :meth:`Graph.copy` copies it
-(a read-only array log is shared).  The CSR export sorts the log in
-array passes instead of iterating the adjacency sets; a graph that has
-seen a removal exports from the sets.
+:meth:`Graph.add_vertex` keeps the log.  :meth:`Graph.copy` hands the
+copy the log as read-only arrays (an array log is shared) and no sets.
+The CSR export sorts the log in array passes instead of iterating the
+adjacency sets; a graph that has seen a removal exports from the sets.
 
 ``networkx`` interop lives in :mod:`repro.graphs.convert` so that the hot
 path never imports networkx.
@@ -153,7 +155,7 @@ class Graph:
         self._n = n
         # Built from the log on first use (see _sets).
         self._adj: List[Set[int]] | None = None
-        self._sorted_cache: List[Tuple[int, ...]] | None = None
+        self._sorted_cache: List[Tuple[int, ...] | None] | None = None
         self._csr_cache: Tuple[np.ndarray, np.ndarray] | None = None
         self._hash_cache: str | None = None
         us: List[int] = []
@@ -229,7 +231,9 @@ class Graph:
                 log = self._log = (log[0].tolist(), log[1].tolist())
             log[0].append(u)
             log[1].append(v)
-        self._sorted_cache = None
+        rows = self._sorted_cache
+        if rows is not None:
+            rows[u] = rows[v] = None
         self._csr_cache = None
         self._hash_cache = None
 
@@ -246,7 +250,9 @@ class Graph:
         adj[v].discard(u)
         self._m -= 1
         self._log = None
-        self._sorted_cache = None
+        rows = self._sorted_cache
+        if rows is not None:
+            rows[u] = rows[v] = None
         self._csr_cache = None
         self._hash_cache = None
 
@@ -254,7 +260,8 @@ class Graph:
         """Append a fresh isolated vertex and return its index."""
         self._sets().append(set())
         self._n += 1
-        self._sorted_cache = None
+        if self._sorted_cache is not None:
+            self._sorted_cache.append(())
         self._csr_cache = None
         self._hash_cache = None
         return self._n - 1
@@ -287,11 +294,28 @@ class Graph:
         return len(self._sets()[u])
 
     def neighbors(self, u: int) -> Tuple[int, ...]:
-        """Neighbours of ``u`` in ascending order (deterministic)."""
+        """Neighbours of ``u`` in ascending order (deterministic).
+
+        The tuple is memoised per vertex.  The first call on a graph
+        without the memo sorts every vertex's neighbours in one pass; a
+        mutation clears only the rows of its endpoints, which the next
+        call re-sorts, so reading a few rows after a mutation costs those
+        rows, not the graph.
+        """
         self._check_vertex(u)
-        if self._sorted_cache is None:
-            self._sorted_cache = [tuple(sorted(s)) for s in self._sets()]
-        return self._sorted_cache[u]
+        rows = self._rows()
+        row = rows[u]
+        if row is None:
+            row = rows[u] = tuple(sorted(self._adj[u]))
+        return row
+
+    def _rows(self) -> List[Tuple[int, ...] | None]:
+        """The sorted neighbour memo (``None`` rows: cleared by a mutation),
+        filled in one pass when the graph has none."""
+        rows = self._sorted_cache
+        if rows is None:
+            rows = self._sorted_cache = [tuple(sorted(s)) for s in self._sets()]
+        return rows
 
     def adjacency_set(self, u: int) -> frozenset:
         """Neighbour set of ``u`` as an immutable set (O(1) membership)."""
@@ -304,8 +328,12 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate canonical ``(u, v)`` with ``u < v``, ascending."""
+        rows = self._rows()
         for u in range(self._n):
-            for v in self.neighbors(u):
+            row = rows[u]
+            if row is None:
+                row = self.neighbors(u)
+            for v in row:
                 if u < v:
                     yield (u, v)
 
@@ -360,21 +388,22 @@ class Graph:
         return comps
 
     def copy(self) -> "Graph":
-        """Deep copy (the insertion log too: the copy mutates its own).
+        """Deep copy: the copy and this graph mutate apart.
 
-        A graph whose adjacency sets are not built yet copies none; the
-        copy builds its own on first use.
+        A graph that has seen no removal hands the copy its insertion
+        log as read-only int64 arrays, and the copy builds its adjacency
+        sets from them on first use, so a snapshot that is only compiled
+        or exported holds 16 bytes per edge.  An array log is read-only
+        and replaced on the next insertion, so both graphs hold the same
+        one.  Only a graph that has seen a removal copies its sets.
         """
         g = Graph(self._n)
         g._m = self._m
-        if self._adj is not None:
+        if self._log is None:
+            g._log = None
             g._adj = [set(s) for s in self._adj]
-        log = self._log
-        if log is not None and type(log[0]) is list:
-            log = (list(log[0]), list(log[1]))
-        # An array log is read-only and replaced on the next insertion,
-        # so both graphs can hold it.
-        g._log = log
+        else:
+            g._log = _read_only(*map(_log_array, self._log))
         return g
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
@@ -397,9 +426,9 @@ class Graph:
 
     @classmethod
     def from_canonical_edge_arrays(
-        cls, n: int, us: np.ndarray, vs: np.ndarray
+        cls, n: int, us: Sequence[int], vs: Sequence[int]
     ) -> "Graph":
-        """Fast trusted constructor from parallel endpoint arrays.
+        """Fast trusted constructor from parallel endpoint arrays or lists.
 
         ``us[i] < vs[i]`` must hold for every i, endpoints must be in
         ``[0, n)``, and edges must be distinct — the caller certifies

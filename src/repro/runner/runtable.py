@@ -26,6 +26,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..congest.engine import ENGINE_NAMES
 from ..errors import ConfigurationError
+from ..seeds import canonical_json, derive_seed
 from . import registry
 
 __all__ = [
@@ -63,25 +64,6 @@ STREAM_ALGORITHMS: Tuple[str, ...] = ("monitor", "tester")
 #: reference scheduler, so faulted rows are also pinned to the
 #: ``reference`` engine during expansion.
 FAULT_AWARE_ALGORITHMS: Tuple[str, ...] = ("tester", "detect", "monitor")
-
-_SEED_MASK = (1 << 63) - 1
-
-
-def canonical_json(obj: Any) -> str:
-    """Canonical compact JSON used for hashing and JSONL persistence."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def derive_seed(master_seed: int, *tokens: Any) -> int:
-    """A 63-bit seed deterministically derived from master seed + tokens.
-
-    Uses SHA-256 (stable across processes and Python versions, unlike
-    ``hash()``), so run tables expand identically everywhere.
-    """
-    digest = hashlib.sha256(
-        canonical_json([master_seed, list(tokens)]).encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "big") & _SEED_MASK
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 full re-detection, and the growth/adversarial extremes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dynamic import (
     CkMonitor,
@@ -14,11 +16,11 @@ from repro.dynamic.monitor import (
     CACHE_HIT,
     FULL_RETEST,
     LOCAL_RECHECK,
-    _csr_ball,
-    _csr_ball_subgraph,
+    _ball_subgraph,
     k_neighborhood_ball,
 )
 from repro.errors import ConfigurationError
+from repro.graphs import Graph
 from repro.graphs.cycles import has_k_cycle
 from repro.graphs.generators import (
     cycle_graph,
@@ -135,18 +137,91 @@ class TestLocality:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_csr_ball_matches_bfs_and_subgraph(self, seed):
-        # The monitor extracts balls from CSR arrays only; the Python
-        # BFS and Graph.subgraph are the reference it must equal.
+        # The recheck walks balls on the live graph's memoised rows; a
+        # BFS over a fresh CSR export and Graph.subgraph are the
+        # reference, before and after mutations clear some rows.
         g = erdos_renyi_gnp(40, 0.08, seed=seed)
-        indptr, indices = g.to_csr()
-        edges = g.edge_list()
-        for edge in edges[:: max(1, len(edges) // 10)][:10]:
-            for radius in range(4):
-                ball = _csr_ball(indptr, indices, edge, radius)
-                expected = k_neighborhood_ball(g, edge, radius)
-                assert ball.tolist() == expected
-                sub = _csr_ball_subgraph(indptr, indices, ball)
-                assert sub == g.subgraph(expected)
+
+        def check():
+            indptr, indices = g.to_csr()
+            edges = g.edge_list()
+            for edge in edges[:: max(1, len(edges) // 10)][:10]:
+                for radius in range(4):
+                    seen = set(edge)
+                    frontier = list(edge)
+                    for _ in range(radius):
+                        nxt = []
+                        for w in frontier:
+                            for x in indices[indptr[w]:indptr[w + 1]].tolist():
+                                if x not in seen:
+                                    seen.add(x)
+                                    nxt.append(x)
+                        frontier = nxt
+                    expected = sorted(seen)
+                    ball = k_neighborhood_ball(g, edge, radius)
+                    assert ball == expected
+                    assert _ball_subgraph(g, ball) == g.subgraph(expected)
+
+        check()
+        for u, v in g.edge_list()[::3]:
+            g.remove_edge(u, v)
+        w = g.add_vertex()
+        for x in range(0, 40, 7):
+            g.add_edge(w, x)
+        check()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 14),
+        pairs=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=40),
+        removals=st.lists(st.integers(0, 99), max_size=6),
+        extra=st.integers(0, 3),
+        radius=st.integers(0, 3),
+        pick=st.integers(0, 99),
+    )
+    def test_ball_subgraph_matches_induced_subgraph(
+        self, n, pairs, removals, extra, radius, pick
+    ):
+        # The recheck builds its ball subgraph from the live graph's
+        # sorted neighbour rows; Graph.subgraph is the reference.
+        g = Graph(n, [(u % n, v % n) for u, v in pairs if u % n != v % n],
+                  strict=False)
+        for r in removals:
+            if g.m:
+                g.remove_edge(*g.edge_list()[r % g.m])
+        for _ in range(extra):
+            w = g.add_vertex()
+            g.add_edge(w, pick % w)
+        if not g.m:
+            return
+        edge = g.edge_list()[pick % g.m]
+        ball = k_neighborhood_ball(g, edge, radius)
+        sub = _ball_subgraph(g, ball)
+        assert sub == g.subgraph(ball)
+        us, vs = sub._log
+        keys = [(int(u), int(v)) for u, v in zip(us, vs)]
+        assert all(u < v for u, v in keys) and keys == sorted(keys)
+        assert sub.m == len(keys)
+
+    def test_insert_never_exports_the_whole_graph(self, monkeypatch):
+        # An inserting step walks the ball on the live graph; exporting
+        # the whole graph would cost O(n + m) per step.
+        base = Graph(40, [(u, v) for u in range(20) for v in range(20, 40)
+                          if (u + v) % 7 == 0])
+        mon = CkMonitor(base, 5, engine="fast")
+        exported = []
+        real = Graph.to_csr
+
+        def spy(g):
+            if g is mon.graph:
+                exported.append(mon.version)
+            return real(g)
+
+        monkeypatch.setattr(Graph, "to_csr", spy)
+        for u, v in [(0, 22), (1, 22), (2, 20)]:
+            assert mon.apply(Mutation("add_edge", u, v)).action == LOCAL_RECHECK
+            assert mon.apply(Mutation("remove_edge", u, v)).action == CACHE_HIT
+        assert mon.accepted and exported == []
 
 
 class TestFullRedetect:

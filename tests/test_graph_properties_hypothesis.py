@@ -280,3 +280,121 @@ class TestCsrFromTheInsertionLog:
                 live.append(g.subgraph(keep))
             for h in live:
                 _assert_csr_matches_neighbors(h)
+
+
+@st.composite
+def mutation_reads(draw):
+    """``(n, pairs, ops)``: a graph, then interleaved mutations and
+    single-row ``neighbors`` reads."""
+    n = draw(st.integers(2, 8))
+    vertex = st.integers(0, 99)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=14))
+    op = st.one_of(
+        st.tuples(st.just("add"), vertex, vertex),
+        st.tuples(st.just("remove"), vertex),
+        st.tuples(st.just("vertex")),
+        st.tuples(st.just("read"), vertex),
+    )
+    return n, pairs, draw(st.lists(op, max_size=20))
+
+
+class TestNeighborMemo:
+    """``neighbors()`` is memoised per vertex: a mutation clears the rows
+    of its endpoints only."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mutation_reads())
+    def test_rows_follow_the_sets_and_keep_untouched_tuples(self, case):
+        n, pairs, ops = case
+        g = Graph(n, [(u % n, v % n) for u, v in pairs if u % n != v % n],
+                  strict=False)
+        last = {}
+        for op in ops:
+            if op[0] == "add":
+                u, v = op[1] % g.n, op[2] % g.n
+                if u != v and not g.has_edge(u, v):
+                    g.add_edge(u, v)
+                    last.pop(u, None), last.pop(v, None)
+            elif op[0] == "remove" and g.m:
+                u, v = g.edge_list()[op[1] % g.m]
+                g.remove_edge(u, v)
+                last.pop(u, None), last.pop(v, None)
+            elif op[0] == "vertex":
+                g.add_vertex()
+            elif op[0] == "read":
+                u = op[1] % g.n
+                row = g.neighbors(u)
+                assert row == tuple(sorted(g.adjacency_set(u)))
+                if u in last:
+                    assert row is last[u]
+                last[u] = row
+        for u in g.vertices():
+            assert g.neighbors(u) == tuple(sorted(g.adjacency_set(u)))
+        assert list(g.edges()) == sorted(
+            (u, v) for u in g.vertices() for v in g.adjacency_set(u) if u < v
+        )
+
+    def test_a_mutation_keeps_untouched_rows(self):
+        g = Graph(6, [(0, 1), (1, 2), (3, 4)])
+        rows = [g.neighbors(u) for u in g.vertices()]
+        g.add_edge(0, 5)
+        g.remove_edge(3, 4)
+        assert g.add_vertex() == 6
+        assert g.neighbors(1) is rows[1] and g.neighbors(2) is rows[2]
+        assert (g.neighbors(0), g.neighbors(3), g.neighbors(5)) == ((1, 5), (), (0,))
+        assert g.neighbors(6) == ()
+
+
+@st.composite
+def logged_graphs(draw):
+    """``(graph, form)``: a graph whose insertion log is the constructor's
+    array pair, an int-list pair after an insertion, or gone after a
+    removal; its adjacency sets built or not."""
+    n = draw(st.integers(2, 8))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(
+        st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), max_size=14)
+    )
+    g = Graph(n, pairs, strict=False)
+    form = draw(st.sampled_from(["array", "list", "sets"]))
+    if draw(st.booleans()):
+        g.has_edge(0, 1)  # builds the sets from the log
+    if form == "list":
+        g.add_edge(g.add_vertex(), 0)
+    elif form == "sets":
+        if not g.has_edge(0, 1):
+            g.add_edge(0, 1)
+        g.remove_edge(0, 1)
+    return g, form
+
+
+class TestSnapshotCopies:
+    """``copy()`` of a graph with an insertion log holds that log as
+    read-only arrays and no sets; only a graph without a log copies its
+    sets.  Either way the copy equals its source and mutates apart."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=logged_graphs(), mutate_copy=st.booleans())
+    def test_copy_is_equal_and_independent(self, case, mutate_copy):
+        g, form = case
+        n, edges = g.n, g.edge_list()
+        c = g.copy()
+        if form == "sets":
+            assert c._log is None and c._adj is not None
+        else:
+            assert c._adj is None
+            for column, source in zip(c._log, g._log):
+                assert type(column) is np.ndarray and column.dtype == np.int64
+                assert not column.flags.writeable
+                assert (column is source) == (form == "array")
+        assert c == g and c.content_hash() == g.content_hash()
+        for a, b in zip(c.to_csr(), g.to_csr()):
+            assert a.tolist() == b.tolist()
+        changed, kept = (c, g) if mutate_copy else (g, c)
+        changed.add_edge(changed.add_vertex(), 0)
+        changed.remove_edge(*changed.edge_list()[0])
+        fresh = Graph(n, edges)
+        assert (kept.n, kept.edge_list()) == (n, edges)
+        assert kept == fresh and kept.content_hash() == fresh.content_hash()
+        _assert_csr_matches_neighbors(kept)
+        _assert_csr_matches_neighbors(changed)
