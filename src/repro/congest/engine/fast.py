@@ -28,9 +28,11 @@ per round with vectorized array operations:
   tag is fixed, a node prunes and decides exactly as in Algorithm 1, so
   the tester runs those steps on the edge axis's functions (below), with
   the receiving vertex as the slot.  The default pruner's round-2 sends
-  are a closed form over the matched half-edges (each node's first
-  ``k − 1`` matched neighbours by ID); at rounds ``t ≥ 3``, and at every
-  round for other pruners, delivery is one array gather sorted by
+  are a closed form over the matched half-edges: the priority rule
+  leaves a node at most its winning edge's two endpoints as round-2
+  senders, the shape that both kernels' round-2 shortcuts rest on, and
+  the node forwards both seeds in ID order.  At rounds ``t ≥ 3``, and at
+  every round for other pruners, delivery is one array gather sorted by
   (receiver, sequence).  The decision is prefiltered by Lemma 1 (a node
   whose decision inputs all start at one endpoint cannot reject): each
   sender's first-ID range is scattered to its matched receivers, and
@@ -199,11 +201,21 @@ class FastEngine(CongestEngine):
         id_rank = network.id_ranks
         src_rank = id_rank[he_src]
         dst_rank = id_rank[indices]
-        # The canonical edge table, in (smaller ID, larger ID) order: each
-        # edge's owned half-edge (src ID < dst ID), sorted by its ranks
-        # packed into one key.
+        # Each edge's owned half-edge (src ID < dst ID), in CSR order.
         owned = src_rank < dst_rank
         mine = np.flatnonzero(owned)
+        # Reference rank outboxes go out by owner vertex, each in
+        # ascending neighbour-ID order: the round-1 audit's first
+        # delivery is the smallest owner vertex's owned half-edge to its
+        # smallest-ID neighbour.
+        self._first_owned_he = -1
+        if len(mine):
+            v = he_src[mine[0]]
+            lo, hi = indptr[v], indptr[v + 1]
+            nb = np.where(owned[lo:hi], dst_rank[lo:hi], n)
+            self._first_owned_he = int(lo + np.argmin(nb))
+        # The canonical edge table, in (smaller ID, larger ID) order: the
+        # owned half-edges sorted by their ranks packed into one key.
         key = src_rank[mine]
         key *= n
         key += dst_rank[mine]
@@ -215,21 +227,6 @@ class FastEngine(CongestEngine):
         # and IDs, the rank draws' keys.
         self._edge_ends = np.stack((he_src[mine], indices[mine]))
         self._edge_a, self._edge_b = ids[self._edge_ends]
-        # Half-edges by (receiving vertex, sender ID), packed like the
-        # edge table (keys are unique).  This is the order of the
-        # round-2 seeds each node receives.  (Its keys reuse src_rank's
-        # buffer, which nothing reads any more.  CSR order already
-        # groups them by receiver, so the merge sort of kind="stable"
-        # runs faster than the default, and unique keys sort the same.)
-        by_id = np.multiply(he_src, n, out=src_rank)
-        by_id += dst_rank
-        self._he_by_id = np.argsort(by_id, kind="stable")
-        # Reference rank outboxes go out by owner vertex, each in
-        # ascending neighbour-ID order: the round-1 audit's first
-        # delivery is the first owned half-edge in that order.
-        self._first_owned_he = (
-            int(self._he_by_id[np.argmax(owned[self._he_by_id])]) if g.m else -1
-        )
         # Audit constants (computed through the public SizeModel API so the
         # aggregate audit charges exactly what per-message observe() would).
         model = self._size_model
@@ -267,7 +264,6 @@ class FastEngine(CongestEngine):
                 self._edge_ends,
                 self._edge_a,
                 self._edge_b,
-                self._he_by_id,
             )
         )
 
@@ -383,32 +379,28 @@ class FastEngine(CongestEngine):
         recv = recv[order]
         return recv, recv, mat[at[order]]
 
-    def _seed_round(self, matched: np.ndarray, k: int) -> Pool:
+    def _seed_round(self, matched: np.ndarray) -> Pool:
         """Round-2 sends of :class:`~repro.core.pruning.HittingSetPruner`
         in closed form.
 
         A node receives one singleton seed per matched neighbour, none
-        holding its own ID.  The residues of kept seeds are disjoint
-        singletons, so the ``q = k - 2`` hitting-set test keeps exactly
-        the first ``k - 1`` seeds in sorted order: each node sends
-        ``(seed, own ID)`` for its first ``k - 1`` matched neighbours by
-        ID.  Only the matched half-edges are ranked.
+        holding its own ID.  A round-2 tag names one edge, and only its
+        two endpoints hold it, so the priority rule leaves a node at
+        most those two as matched senders: the shape that both kernels'
+        round-2 shortcuts rest on (:meth:`_edge_round`).  The
+        ``q = k - 2`` hitting-set test keeps the first ``k - 1 >= 3``
+        disjoint singletons, so it keeps both, and a node sends
+        ``(seed, own ID)`` for each.  The matched half-edges come in CSR
+        order, grouped by receiver, and one compare-and-swap of a
+        receiver's adjacent pair puts its two seeds in ID order.
         """
-        order = self._he_by_id
-        # The matched half-edges by (receiver, sender ID).  (Indexed
-        # through ``flatnonzero``: a boolean index of an irregular mask
-        # this long takes ~4x as long.)
-        hm = order[np.flatnonzero(matched[order])]
+        hm = np.flatnonzero(matched)
         recv = self._he_src[hm]
-        got = np.bincount(recv, minlength=len(self._ids))
-        # A seed's rank among its receiver's: its position past the
-        # receiver's first.
-        rank = np.arange(len(hm)) - (np.cumsum(got) - got)[recv]
-        keep = hm[rank < k - 1]
-        mat = np.stack(
-            (self._ids[self._he_dst[keep]], self._ids[self._he_src[keep]]), axis=1
-        )
-        return self._pool(mat, np.minimum(got, k - 1))
+        seed = self._ids[self._he_dst[hm]]
+        swap = np.flatnonzero((recv[1:] == recv[:-1]) & (seed[1:] < seed[:-1]))
+        seed[swap], seed[swap + 1] = seed[swap + 1], seed[swap]
+        mat = np.stack((seed, self._ids[recv]), axis=1)
+        return self._pool(mat, np.bincount(recv, minlength=len(self._ids)))
 
     @staticmethod
     def _first_id_range(pool: Pool) -> Tuple[np.ndarray, np.ndarray]:
@@ -521,8 +513,10 @@ class FastEngine(CongestEngine):
         priority rule are array passes over the compiled edges and
         half-edges; the sequences are int64 ID pools.  Round 2 of
         :class:`~repro.core.pruning.HittingSetPruner` is a closed form
-        (:meth:`_seed_round`).  Every other round prunes its sorted
-        deliveries with :meth:`_edge_round`, and the decision runs
+        (:meth:`_seed_round`): the priority rule leaves each node at most
+        its winning edge's two endpoints as senders, the shape that both
+        kernels' round-2 shortcuts rest on.  Every other round prunes its
+        sorted deliveries with :meth:`_edge_round`, and the decision runs
         :meth:`_edge_decide` at the nodes its first-ID prefilter passes
         — the functions of the edge-axis scan, with the receiving vertex
         as the slot.  So the pure pruner runs only per group that needs
@@ -573,7 +567,7 @@ class FastEngine(CongestEngine):
                 T, matched = priority_mux(T, sending, he_src, he_dst)
             if t == 2 and closed_form:
                 with prof.phase("round_apply"):
-                    pool = self._seed_round(matched, k)
+                    pool = self._seed_round(matched)
             else:
                 with prof.phase("priority_mux"):
                     recv = self._gather(np.flatnonzero(matched), pool)
@@ -766,11 +760,10 @@ class FastEngine(CongestEngine):
         always kept, and so is every row at round 2 of an Algorithm-1
         pool, where a group holds at most the two endpoint singletons; so
         that pruner runs only on groups of two or more rows at rounds
-        ``t >= 3``.  The round-2 shortcut rests on that shape, which a
-        tester pool has only through the priority rule (a node's matched
-        round-2 senders are its winning edge's endpoints); the tester's
-        round 2 under that pruner is :meth:`_seed_round`, which does not
-        rely on it.
+        ``t >= 3``.  Both kernels' round-2 shortcuts rest on that shape,
+        which a tester pool has through the priority rule (a node's
+        matched round-2 senders are its winning edge's endpoints); the
+        tester's round 2 under that pruner is :meth:`_seed_round`.
         """
         from ...core.pruning import HittingSetPruner
 

@@ -603,8 +603,9 @@ def _bfs_distance_at_most(g: Graph, s: int, t: int, limit: int) -> bool:
 
     A search from both ends that grows the smaller frontier by one level
     per step, ``limit`` steps in all, and stops as soon as one side
-    reaches a vertex the other has seen.  It reads the unsorted neighbour
-    sets: the search needs no order.
+    reaches a vertex the other has seen.  It reads the memoised neighbour
+    rows (:meth:`Graph.neighbors`), which copy nothing per visit; the
+    answer does not depend on their order.
     """
     if s == t:
         return True
@@ -615,7 +616,7 @@ def _bfs_distance_at_most(g: Graph, s: int, t: int, limit: int) -> bool:
         mine, theirs = seen[side], seen[1 - side]
         nxt = []
         for u in frontier[side]:
-            for v in g.adjacency_set(u):
+            for v in g.neighbors(u):
                 if v in theirs:
                     return True
                 if v not in mine:

@@ -46,7 +46,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -144,7 +144,6 @@ class ServiceConfig:
     drain_timeout: float = 10.0  #: stop() patience for in-flight requests
     debug: bool = False  #: enables GET /debug/sleep (timeout testing)
     default_engine: str = "reference"
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 class ServiceServer:

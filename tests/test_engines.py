@@ -199,8 +199,8 @@ class TestCrossEngineEquivalence:
                                           SpreadIds()])
     def test_id_assignment_does_not_break_equivalence(self, assigner):
         # Under identity IDs the CSR row order already is ID order, so a
-        # kernel that keeps a node's first k-1 round-2 seeds in CSR order
-        # instead of by sender ID only shows up under the other
+        # kernel that leaves a node's two round-2 seeds in CSR order
+        # instead of sorting them by sender ID only shows up under the other
         # assigners: at k = 4, once on the sparse graph, and under every
         # non-identity assigner on the denser one.
         sparse = erdos_renyi_gnp(24, 0.2, seed=5)

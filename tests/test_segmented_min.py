@@ -10,9 +10,11 @@ isolated vertices at the first, a middle and the last row, ranks from
 neighbours send — on both tag branches: ``rank·m + edge`` and dense
 positions from a stable sort, forced by lowering ``_PACKED_MAX_M``.
 
-The round-2 closed form (``FastEngine._seed_round``) is checked against
-"each node's first ``k − 1`` matched neighbours by ID" under every ID
-assigner.  The pruning step that the tester and the edge-axis scan share
+The round-2 closed form (``FastEngine._seed_round``) is checked in real
+repetitions, under every ID assigner and both tag branches: each node's
+matched senders are at most the two endpoints of its winning tag's
+edge, and it forwards their seeds in ID order.  The pruning step that
+the tester and the edge-axis scan share
 (``FastEngine._edge_round``) is checked against per-group
 :func:`~repro.core.algorithm1.process_phase2_round` on random sorted
 pools under both pruners.  The decision (``FastEngine._decide``), which
@@ -27,7 +29,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import graphs
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -203,33 +204,66 @@ ASSIGNERS = {
 }
 
 
+@st.composite
+def seed_round_graphs(draw):
+    """A graph anywhere from edgeless to complete, plus up to three
+    isolated vertices, with its vertices shuffled."""
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    dense = draw(st.booleans())
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          min_size=len(pairs) // 2 if dense else 0,
+                          max_size=len(pairs)))
+    total = n + draw(st.integers(0, 3))
+    label = draw(st.permutations(range(total)))
+    return Graph(total, [(label[u], label[v]) for u, v in edges])
+
+
 @SETTINGS
 @given(
-    g=graphs(n_lo=1, n_hi=12),
+    g=seed_round_graphs(),
     assigner=st.sampled_from(sorted(ASSIGNERS)),
-    k=st.integers(4, 8),
-    data=st.data(),
+    id_seed=st.integers(0, 2**32 - 1),
+    rep_seed=st.integers(0, 2**32 - 1),
 )
-def test_seed_round_sends_the_first_matched_neighbours_by_id(g, assigner, k, data):
-    net = Network(g, ASSIGNERS[assigner](data.draw(st.integers(0, 2**32 - 1))))
+def test_seed_round_forwards_the_winning_edge_endpoints_by_id(
+    g, assigner, id_seed, rep_seed
+):
+    """Round 2 of a real repetition: the priority rule leaves each node
+    at most the two endpoints of its winning tag's edge as matched
+    senders, and the closed form forwards each one's seed, in ID order,
+    with the node's own ID appended."""
+    net = Network(g, ASSIGNERS[assigner](id_seed))
     eng = FastEngine(net)
     ids = net.ids()
+    n = g.n
     indptr, indices = g.to_csr()
-    matched = np.array(
-        data.draw(st.lists(st.booleans(), min_size=len(indices),
-                           max_size=len(indices))),
-        dtype=bool,
-    )
-    expected_rows, expected_counts = [], []
-    for v in range(g.n):
-        row = range(indptr[v], indptr[v + 1])
-        firsts = sorted(ids[indices[h]] for h in row if matched[h])[: k - 1]
-        expected_rows += [[w, ids[v]] for w in firsts]
-        expected_counts.append(len(firsts))
-    mat, ptr = eng._seed_round(matched, k)
-    assert mat.dtype == ptr.dtype == np.int64
-    assert mat.reshape(-1, 2).tolist() == expected_rows
-    assert np.diff(ptr).tolist() == expected_counts
+    table = sorted((min(ids[a], ids[b]), max(ids[a], ids[b])) for a, b in g.edges())
+    for limit in LIMITS:
+        # T and matched exactly as run_tester_repetition computes them
+        # before its round-2 sends.
+        tags = _tags(eng._draw_edge_ranks(rep_seed), limit)
+        a, b = eng._edge_ends
+        T = segmented_min(
+            tags, b, segmented_min(tags, a, np.full(n, INF, dtype=np.int64))
+        )
+        best, matched = priority_mux(T, eng._degrees > 0, eng._he_src,
+                                     eng._he_dst)
+        edge_of = {tag: e for e, tag in enumerate(tags.tolist())}
+        expected_rows, expected_counts = [], []
+        for v in range(n):
+            senders = sorted(ids[indices[h]]
+                             for h in range(indptr[v], indptr[v + 1])
+                             if matched[h])
+            assert len(senders) <= 2
+            if senders:
+                assert set(senders) <= set(table[edge_of[int(best[v])]])
+            expected_rows += [[w, ids[v]] for w in senders]
+            expected_counts.append(len(senders))
+        mat, ptr = eng._seed_round(matched)
+        assert mat.dtype == ptr.dtype == np.int64
+        assert mat.reshape(-1, 2).tolist() == expected_rows
+        assert np.diff(ptr).tolist() == expected_counts
 
 
 @st.composite
