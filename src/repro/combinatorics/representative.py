@@ -16,6 +16,8 @@ provides:
   the witnesses disjoint from them).  Its size obeys the Lemma-3-style
   bound ``(q+1)^p`` (not the optimal binomial, but constant for constant
   p, q — which is all the distributed algorithm needs).
+* :func:`greedy_keeps` — that rule's decision on one set, which
+  :class:`~repro.core.pruning.HittingSetPruner` applies too.
 * :func:`is_representative` — brute-force verifier of the representation
   property (test oracle).
 * :func:`ehm_bound` / :func:`greedy_bound` — the two size bounds.
@@ -31,6 +33,7 @@ from .hitting import has_hitting_set
 
 __all__ = [
     "greedy_representative_family",
+    "greedy_keeps",
     "is_representative",
     "ehm_bound",
     "greedy_bound",
@@ -57,12 +60,15 @@ def greedy_representative_family(
     kept: List[FrozenSet] = []
     for raw in family:
         L = frozenset(raw)
-        if _keeps(kept, L, q):
+        if greedy_keeps(kept, L, q):
             kept.append(L)
     return kept
 
 
-def _keeps(kept: Sequence[FrozenSet], L: FrozenSet, q: int) -> bool:
+def greedy_keeps(kept: Sequence[FrozenSet], L: FrozenSet, q: int) -> bool:
+    """Whether the greedy rule keeps ``L`` after the sets ``kept``: no
+    kept set lies inside ``L``, and the residues ``{K \\ L : K kept}``
+    have a hitting set of at most ``q`` elements."""
     residues = []
     for K in kept:
         r = K - L

@@ -133,7 +133,11 @@ class CongestEngine(ABC):
         This is the tester's engine entry point, called once per
         repetition; a completed run exports its trace aggregates to
         telemetry before it returns.  ``outputs`` is a
-        :class:`~repro.core.algorithm1.DetectionOutcomes`."""
+        :class:`~repro.core.algorithm1.DetectionOutcomes`.
+        ``pruner=None`` is the default
+        :class:`~repro.core.pruning.HittingSetPruner`; the reference
+        engine runs any :class:`~repro.core.pruning.Pruner` (the
+        executable specification), and ``fast`` refuses all others."""
 
     @abstractmethod
     def run_detect(
@@ -141,7 +145,8 @@ class CongestEngine(ABC):
     ) -> RunResult:
         """Algorithm 1 for a fixed edge, given as a pair of node IDs
         (``⌊k/2⌋`` communication rounds); ``outputs`` is a
-        :class:`~repro.core.algorithm1.DetectionOutcomes`."""
+        :class:`~repro.core.algorithm1.DetectionOutcomes`.  ``pruner`` as
+        for :meth:`run_tester_repetition`."""
 
     # ------------------------------------------------------------------
     def _finish(self, run: RunResult) -> RunResult:

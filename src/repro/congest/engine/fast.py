@@ -27,35 +27,37 @@ per round with vectorized array operations:
   the rows ``ptr[v]:ptr[v + 1]`` of one ``(rows, t)`` matrix.  Once its
   tag is fixed, a node prunes and decides exactly as in Algorithm 1, so
   the tester runs those steps on the edge axis's functions (below), with
-  the receiving vertex as the slot.  The default pruner's round-2 sends
-  are a closed form over the matched half-edges: the priority rule
-  leaves a node at most its winning edge's two endpoints as round-2
-  senders, the shape that both kernels' round-2 shortcuts rest on, and
-  the node forwards both seeds in ID order.  At rounds ``t ≥ 3``, and at
-  every round for other pruners, delivery is one array gather sorted by
-  (receiver, sequence).  The decision is prefiltered by Lemma 1 (a node
-  whose decision inputs all start at one endpoint cannot reject): each
-  sender's first-ID range is scattered to its matched receivers, and
-  only the nodes that pass collect their received rows.
+  the receiving vertex as the slot.  The round-2 sends are a closed
+  form over the matched half-edges: the priority rule leaves a node at
+  most its winning edge's two endpoints as round-2 senders, the shape
+  that both kernels' round-2 shortcuts rest on, and the node forwards
+  both seeds in ID order.  At rounds ``t ≥ 3`` delivery is one array
+  gather sorted by (receiver, sequence).  The decision is prefiltered
+  by Lemma 1 (a node whose decision inputs all start at one endpoint
+  cannot reject): each sender's first-ID range is scattered to its
+  matched receivers, and only the nodes that pass collect their
+  received rows.
 * **Algorithm 1 over an edge axis** (:meth:`FastEngine.first_cycle_edge`,
   the exact scan of :func:`~repro.dynamic.monitor.full_redetect`) runs
   one execution per edge of a block side by side over the compiled
   instance, as ``(slot, holder, sequence)`` int64 pools: broadcast is a
   CSR expansion plus one sort, Instruction 12 a mask, and the pruner
-  runs once per (slot, vertex) group — under the default pruner only on
-  groups of two or more rows at rounds ``t ≥ 3``.  The decision's exact
-  Lemma-1 prefilter leaves
+  runs once per (slot, vertex) group of two or more rows at rounds
+  ``t ≥ 3``.  The decision's exact Lemma-1 prefilter leaves
   :func:`~repro.core.algorithm1.find_detection_evidence` only the groups
-  that can still reject.  The pruner and the evidence search are the
-  *same* pure functions the reference nodes call, which is what makes
-  the verdict equivalence structural rather than statistical.
+  that can still reject.  The pruner (the default, the only one this
+  engine runs) and the evidence search are the *same* pure functions
+  the reference nodes call, which is what makes the verdict equivalence
+  structural rather than statistical.
   Executions through different edges never interact (Algorithm 1 has no
   priority rule), so each one's outputs are
   :meth:`FastEngine.run_detect`'s.  Blocks double while they fit a row
   budget, and a block is cut to fit it before each broadcast, so a pool
   of two or more executions never exceeds it.  Single-edge detection
   stays per node: a block of one with the audit is slower than
-  :meth:`FastEngine.run_detect` on small balls (``docs/engines.md``).
+  :meth:`FastEngine.run_detect` on tiny neighbourhoods, where
+  ``primitives.compile_cache`` gates the cached call
+  (``docs/engines.md``).
 * **The bit audit is aggregate instead of per-message**: a broadcast
   costs the same bits on every incident edge, so per-round totals,
   maxima and strict-mode budget violations are computed from per-sender
@@ -367,10 +369,9 @@ class FastEngine(CongestEngine):
         sender block, as an edge pool whose slot and holder are the
         receiving vertex, sorted by (receiver, sequence).
 
-        Delivery for the pruner at rounds ``t >= 3``, and at round 2 for
-        a pruner other than :class:`~repro.core.pruning.HittingSetPruner`
-        (:meth:`_edge_round`), and for the decision at the nodes that
-        pass its prefilter (:meth:`_edge_decide`).
+        Delivery for the pruner at rounds ``t >= 3`` (:meth:`_edge_round`)
+        and for the decision at the nodes that pass its prefilter
+        (:meth:`_edge_decide`).
         """
         mat, ptr = sent
         at, lens = self._blocks(ptr, self._he_dst[he])
@@ -380,8 +381,7 @@ class FastEngine(CongestEngine):
         return recv, recv, mat[at[order]]
 
     def _seed_round(self, matched: np.ndarray) -> Pool:
-        """Round-2 sends of :class:`~repro.core.pruning.HittingSetPruner`
-        in closed form.
+        """Round-2 sends in closed form.
 
         A node receives one singleton seed per matched neighbour, none
         holding its own ID.  A round-2 tag names one edge, and only its
@@ -503,6 +503,18 @@ class FastEngine(CongestEngine):
     # ------------------------------------------------------------------
     # Engine entry points
     # ------------------------------------------------------------------
+    def _check_pruner(self, pruner) -> None:
+        """Refuse any pruner but the default
+        :class:`~repro.core.pruning.HittingSetPruner`, whose rule the
+        kernels' shortcuts rest on."""
+        from ...core.pruning import HittingSetPruner
+
+        if pruner is not None and type(pruner) is not HittingSetPruner:
+            raise ConfigurationError(
+                f"the {self.name!r} backend runs only HittingSetPruner; run "
+                f"{type(pruner).__name__} with engine='reference'"
+            )
+
     def run_tester_repetition(
         self, k: int, rep_seed: int, *, pruner=None
     ) -> RunResult:
@@ -511,23 +523,22 @@ class FastEngine(CongestEngine):
 
         The rank draws, minimum-rank selection and every round's
         priority rule are array passes over the compiled edges and
-        half-edges; the sequences are int64 ID pools.  Round 2 of
-        :class:`~repro.core.pruning.HittingSetPruner` is a closed form
-        (:meth:`_seed_round`): the priority rule leaves each node at most
-        its winning edge's two endpoints as senders, the shape that both
-        kernels' round-2 shortcuts rest on.  Every other round prunes its
-        sorted deliveries with :meth:`_edge_round`, and the decision runs
-        :meth:`_edge_decide` at the nodes its first-ID prefilter passes
-        — the functions of the edge-axis scan, with the receiving vertex
-        as the slot.  So the pure pruner runs only per group that needs
-        it, and the evidence search only where Lemma 1 allows a reject.
+        half-edges; the sequences are int64 ID pools.  Round 2 is a
+        closed form (:meth:`_seed_round`): the priority rule leaves each
+        node at most its winning edge's two endpoints as senders, the
+        shape that both kernels' round-2 shortcuts rest on.  Every later
+        round prunes its sorted deliveries with :meth:`_edge_round`, and
+        the decision runs :meth:`_edge_decide` at the nodes its first-ID
+        prefilter passes — the functions of the edge-axis scan, with the
+        receiving vertex as the slot.  So the pure pruner runs only per
+        group that needs it, and the evidence search only where Lemma 1
+        allows a reject.  ``pruner`` is checked by :meth:`_check_pruner`.
         """
         from ...core.algorithm1 import DetectionOutcome, DetectionOutcomes
         from ...core.phase1 import protocol_rounds
-        from ...core.pruning import HittingSetPruner
 
         self._check_k(k)
-        pruner = pruner if pruner is not None else HittingSetPruner()
+        self._check_pruner(pruner)
         prof = self._profiler
         g = self._net.graph
         n = g.n
@@ -549,7 +560,11 @@ class FastEngine(CongestEngine):
                 tags, v, segmented_min(tags, u, np.full(n, _INF, dtype=np.int64))
             )
         sending = self._degrees > 0
-        pool = self._pool(self._ids[rows][:, None], sending.astype(np.int64))
+        # Only k = 3 decides on the seeds themselves: from k = 4 on,
+        # round 2 is _seed_round, which reads no pool.
+        pool = None
+        if k == 3:
+            pool = self._pool(self._ids[rows][:, None], sending.astype(np.int64))
         seed_bits = self._bundle_bits(1, 1, tagged=True)
         with prof.phase("audit_fold"):
             self._record_broadcasts(
@@ -559,20 +574,19 @@ class FastEngine(CongestEngine):
                 np.full(len(rows), seed_bits, dtype=np.int64),
                 np.ones(len(rows), dtype=np.int64),
             )
-        closed_form = type(pruner) is HittingSetPruner
 
         # Rounds 3..1+⌊k/2⌋ — prioritized multiplexed Phase 2.
         for t in range(2, k // 2 + 1):
             with prof.phase("priority_mux"):
                 T, matched = priority_mux(T, sending, he_src, he_dst)
-            if t == 2 and closed_form:
+            if t == 2:
                 with prof.phase("round_apply"):
                     pool = self._seed_round(matched)
             else:
                 with prof.phase("priority_mux"):
                     recv = self._gather(np.flatnonzero(matched), pool)
                 with prof.phase("round_apply"):
-                    _, holder, mat = self._edge_round(recv, k, t, pruner)
+                    _, holder, mat = self._edge_round(recv, k, t)
                     pool = self._pool(mat, np.bincount(holder, minlength=n))
             counts = np.diff(pool[1])
             sending = counts > 0
@@ -605,7 +619,8 @@ class FastEngine(CongestEngine):
         self, k: int, edge_ids: Tuple[int, int], *, pruner=None
     ) -> RunResult:
         """Algorithm 1 for one edge over CSR arrays: frontier-based
-        delivery, shared pure per-node instructions, aggregate audit."""
+        delivery, shared pure per-node instructions, aggregate audit.
+        ``pruner`` is checked by :meth:`_check_pruner`."""
         from ...core.algorithm1 import (
             DetectionOutcome,
             DetectionOutcomes,
@@ -615,9 +630,9 @@ class FastEngine(CongestEngine):
         )
         from ...core.pruning import HittingSetPruner
         from ...core.sequences import sort_sequences
-        from ...errors import ConfigurationError
 
         self._check_k(k)
+        self._check_pruner(pruner)
         u_id, v_id = edge_ids
         if u_id == v_id:
             raise ConfigurationError("edge endpoints must differ")
@@ -749,21 +764,20 @@ class FastEngine(CongestEngine):
         starts = np.flatnonzero(new)
         return starts, np.append(starts[1:], len(slot))
 
-    def _edge_round(self, recv: EdgePool, k: int, t: int, pruner) -> EdgePool:
+    def _edge_round(self, recv: EdgePool, k: int, t: int) -> EdgePool:
         """Instructions 10–27 of round ``t`` at every (slot, holder) group
         of a sorted pool: the round's sends, sorted the same way.
 
-        Instruction 12 is one mask.  The pruner then runs once per group,
-        on its rows in ``sort_sequences`` order, and the kept rows keep
-        that order, as :class:`~repro.core.pruning.Pruner` returns them.
-        Under :class:`~repro.core.pruning.HittingSetPruner` a lone row is
-        always kept, and so is every row at round 2 of an Algorithm-1
-        pool, where a group holds at most the two endpoint singletons; so
-        that pruner runs only on groups of two or more rows at rounds
-        ``t >= 3``.  Both kernels' round-2 shortcuts rest on that shape,
-        which a tester pool has through the priority rule (a node's
-        matched round-2 senders are its winning edge's endpoints); the
-        tester's round 2 under that pruner is :meth:`_seed_round`.
+        Instruction 12 is one mask.  The pruning rule,
+        :class:`~repro.core.pruning.HittingSetPruner`, always keeps a
+        lone row, and every row at round 2 of an Algorithm-1 pool, where
+        a group holds at most the two endpoint singletons; so it runs
+        only on groups of two or more rows at rounds ``t >= 3``, on their
+        rows in ``sort_sequences`` order, and the kept rows keep that
+        order.  Both kernels' round-2 shortcuts rest on that shape, which
+        a tester pool has through the priority rule (a node's matched
+        round-2 senders are its winning edge's endpoints); the tester's
+        round 2 is :meth:`_seed_round`.
         """
         from ...core.pruning import HittingSetPruner
 
@@ -771,19 +785,17 @@ class FastEngine(CongestEngine):
         me = self._ids[holder]
         keep = ~self._contains(mat, me)
         slot, holder, mat, me = slot[keep], holder[keep], mat[keep], me[keep]
-        lazy = type(pruner) is HittingSetPruner
-        if len(slot) and not (lazy and t == 2):
+        if len(slot) and t > 2:
             starts, ends = self._groups(slot, holder)
-            if lazy:
-                multi = ends - starts > 1
-                starts, ends = starts[multi], ends[multi]
+            multi = ends - starts > 1
+            starts, ends = starts[multi], ends[multi]
             if len(starts):
                 # The groups' rows, gathered: group i is rows[lo_i:hi_i].
                 sizes = ends - starts
                 his = np.cumsum(sizes)
                 at = np.repeat(starts - (his - sizes), sizes) + np.arange(his[-1])
                 rows = list(map(tuple, mat[at].tolist()))
-                select = pruner.select
+                select = HittingSetPruner().select
                 flags: List[bool] = []
                 for lo, hi in zip((his - sizes).tolist(), his.tolist()):
                     kept = set(select(rows[lo:hi], k, t))
@@ -893,17 +905,14 @@ class FastEngine(CongestEngine):
         order; slot ``s`` is edge ``lo + s``.  Each execution's outputs
         are those of :meth:`run_detect` through that edge.
         """
-        from ...core.pruning import HittingSetPruner
-
         u, v = self._edge_ends[:, lo:hi]
         # Round 1: the endpoints broadcast their singleton sequences.
         slot = np.repeat(np.arange(hi - lo), 2)
         holder = np.stack((np.minimum(u, v), np.maximum(u, v)), axis=1).ravel()
         pool, edges = (slot, holder, self._ids[holder][:, None]), hi - lo
-        pruner = HittingSetPruner()
         for t in range(2, k // 2 + 1):
             pool, edges = self._fit_budget(pool, edges)
-            pool = self._edge_round(self._broadcast(pool), k, t, pruner)
+            pool = self._edge_round(self._broadcast(pool), k, t)
         pool, edges = self._fit_budget(pool, edges)
         recv = self._broadcast(pool)
         return lo + edges, self._edge_decide(

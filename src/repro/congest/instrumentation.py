@@ -221,7 +221,7 @@ def _generic_bits(message: Any, model: SizeModel) -> int:
     if isinstance(message, bool):
         return 1
     if isinstance(message, int):
-        return model.rank_bits if abs(message) >= 0 else model.id_bits
+        return model.rank_bits
     if isinstance(message, (tuple, list, set, frozenset)):
         return sum(_generic_bits(x, model) for x in message) + 8
     if isinstance(message, dict):

@@ -309,7 +309,6 @@ def detect_cycle_through_edge(
     k: int,
     *,
     network: Optional[Network] = None,
-    pruner: Optional[Pruner] = None,
     strict_bandwidth: bool = False,
     engine: str = "reference",
     faults=None,
@@ -368,7 +367,7 @@ def detect_cycle_through_edge(
         )
     edge_ids = net.edge_ids(u, v)
     with tel.span("detect.run", k=k, engine=engine):
-        result = eng.run_detect(k, edge_ids, pruner=pruner)
+        result = eng.run_detect(k, edge_ids)
     outcomes: DetectionOutcomes = result.outputs
     detected = bool(outcomes.rejecting)
     record_detections(tel, engine, 1, int(detected))

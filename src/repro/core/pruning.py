@@ -16,7 +16,9 @@ Two implementations with provably identical behaviour:
 
 * :class:`HittingSetPruner` — the equivalent lazy rule: ``L`` is kept iff
   no previously kept ``K`` satisfies ``K ⊆ L`` and the family
-  ``{K \\ L : K kept so far}`` has a hitting set of size ``<= k - t``.
+  ``{K \\ L : K kept so far}`` has a hitting set of size ``<= k - t``
+  (:func:`~repro.combinatorics.representative.greedy_keeps`, the rule of
+  the greedy representative family with ``q = k - t``).
 
   *Why equivalent:* a surviving witness ``X`` (|X| = k-t, X ∩ L = ∅,
   X ∩ K ≠ ∅ for every earlier kept K) yields the hitting set
@@ -38,7 +40,7 @@ from abc import ABC, abstractmethod
 from typing import FrozenSet, List, Sequence, Set
 
 from .._types import IdSequence
-from ..combinatorics.hitting import has_hitting_set
+from ..combinatorics.representative import greedy_keeps
 from ..combinatorics.subsets import count_k_subsets, k_subsets
 from ..errors import ConfigurationError
 from .sequences import collect_ids, fake_ids, sort_sequences
@@ -127,25 +129,11 @@ class HittingSetPruner(Pruner):
     ) -> List[IdSequence]:
         """Equivalent lazy rule via hitting sets of kept-set residues."""
         self._check(sequences, k, t)
-        ordered = sort_sequences(sequences)
-        q = k - t
         kept: List[IdSequence] = []
         kept_sets: List[FrozenSet[int]] = []
-        for L in ordered:
+        for L in sort_sequences(sequences):
             Lset = frozenset(L)
-            residues = []
-            dominated = False
-            for K in kept_sets:
-                r = K - Lset
-                if not r:
-                    # K ⊆ L: every (k-t)-subset disjoint from L is also
-                    # disjoint from K, hence already consumed.
-                    dominated = True
-                    break
-                residues.append(r)
-            if dominated:
-                continue
-            if has_hitting_set(residues, q):
+            if greedy_keeps(kept_sets, Lset, k - t):
                 kept.append(L)
                 kept_sets.append(Lset)
         return kept

@@ -28,7 +28,6 @@ from ..errors import ConfigurationError
 from ..graphs.graph import Graph
 from ..seeds import repetition_seeds
 from .bounds import repetitions_needed, rounds_per_repetition
-from .pruning import HittingSetPruner, Pruner
 from .verdict import RepetitionReport, TesterResult
 
 __all__ = ["CkFreenessTester", "test_ck_freeness"]
@@ -46,8 +45,6 @@ class CkFreenessTester:
     repetitions:
         Override for the number of repetitions; defaults to the paper's
         ``⌈(e²/ε)·ln 3⌉``.
-    pruner:
-        Pruning strategy shared by all nodes.
     strict_bandwidth:
         Forward to the engine: raise if any message exceeds the
         CONGEST bit budget.
@@ -80,7 +77,6 @@ class CkFreenessTester:
         epsilon: float,
         *,
         repetitions: Optional[int] = None,
-        pruner: Optional[Pruner] = None,
         strict_bandwidth: bool = False,
         engine: str = "reference",
         faults=None,
@@ -100,7 +96,6 @@ class CkFreenessTester:
         )
         ensure_engine_available(engine)
         self.engine = engine
-        self._pruner = pruner if pruner is not None else HittingSetPruner()
         self._strict = strict_bandwidth
         self._faults = faults
         self._telemetry = telemetry
@@ -168,9 +163,7 @@ class CkFreenessTester:
         )
         with telemetry.span("tester.run", k=self.k, engine=self.engine):
             for i in range(self.repetitions):
-                run = eng.run_tester_repetition(
-                    self.k, int(rep_seeds[i]), pruner=self._pruner
-                )
+                run = eng.run_tester_repetition(self.k, int(rep_seeds[i]))
                 outputs = run.outputs
                 rejecting = outputs.rejecting
                 cycle = None

@@ -13,17 +13,17 @@ operator asking "which of C3..C8 do we contain?" pays the rounds of the
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..congest.network import Network
-from ..congest.node import Broadcast, NodeContext, NodeProgram, Outbox
+from ..congest.node import NodeContext, NodeProgram, Outbox
 from ..congest.scheduler import SynchronousScheduler
 from ..core.algorithm1 import DetectionOutcome
 from ..core.phase1 import MultiplexedCkProgram, protocol_rounds
-from ..core.pruning import Pruner
 from ..errors import ConfigurationError
 from ..graphs.graph import Graph
 from ..seeds import repetition_seeds
+from .parallel_reps import merge_outboxes, split_inbox
 
 __all__ = ["MultiKProgram", "MultiKResult", "scan_cycle_lengths"]
 
@@ -36,13 +36,7 @@ class MultiKProgram(NodeProgram):
     per-k message stream is self-contained.
     """
 
-    def __init__(
-        self,
-        ctx: NodeContext,
-        ks: Sequence[int],
-        master_seed: int,
-        pruner: Optional[Pruner] = None,
-    ) -> None:
+    def __init__(self, ctx: NodeContext, ks: Sequence[int], master_seed: int) -> None:
         if not ks:
             raise ConfigurationError("need at least one cycle length")
         if len(set(ks)) != len(ks):
@@ -50,59 +44,36 @@ class MultiKProgram(NodeProgram):
         self._ks = tuple(ks)
         self._subs: Dict[int, MultiplexedCkProgram] = {
             k: MultiplexedCkProgram(
-                ctx, k, (master_seed * 1_000_003 + k) & 0x7FFFFFFF, pruner=pruner
+                ctx, k, (master_seed * 1_000_003 + k) & 0x7FFFFFFF
             )
             for k in ks
         }
         self._rounds: Dict[int, int] = {k: protocol_rounds(k) for k in ks}
         self._verdicts: Dict[int, DetectionOutcome] = {}
 
-    def _merge(self, ctx: NodeContext, per_k: Dict[int, Outbox]) -> Outbox:
-        merged: Dict[int, Dict[int, object]] = {}
-        for k, out in per_k.items():
-            if out is None:
-                continue
-            if isinstance(out, Broadcast):
-                targets = {nb: out.message for nb in ctx.neighbor_ids}
-            elif isinstance(out, Mapping):
-                targets = dict(out)
-            else:  # pragma: no cover
-                raise ConfigurationError(f"unexpected outbox {type(out)}")
-            for nb, msg in targets.items():
-                if msg is None:
-                    continue
-                merged.setdefault(nb, {})[k] = msg
-        return merged if merged else None
-
-    @staticmethod
-    def _split(inbox: Dict, k: int) -> Dict[int, object]:
-        view = {}
-        for sender, payload in inbox.items():
-            if isinstance(payload, dict) and k in payload:
-                view[sender] = payload[k]
-        return view
-
     def on_start(self, ctx: NodeContext) -> Outbox:
         """Round 1: rank rounds of every sub-protocol, multiplexed."""
-        return self._merge(ctx, {k: p.on_start(ctx) for k, p in self._subs.items()})
+        return merge_outboxes(
+            ctx, ((k, p.on_start(ctx)) for k, p in self._subs.items())
+        )
 
     def on_round(self, ctx: NodeContext, round_index: int, inbox: Dict) -> Outbox:
         """Advance each sub-protocol that is still within its rounds."""
         outs: Dict[int, Outbox] = {}
         for k, p in self._subs.items():
-            view = self._split(inbox, k)
+            view = split_inbox(inbox, k)
             if round_index <= self._rounds[k]:
                 outs[k] = p.on_round(ctx, round_index, view)
             elif round_index == self._rounds[k] + 1 and k not in self._verdicts:
                 # This k's final inbox arrived last round's end; settle it.
                 self._verdicts[k] = p.on_finish(ctx, view)
-        return self._merge(ctx, outs)
+        return merge_outboxes(ctx, outs.items())
 
     def on_finish(self, ctx: NodeContext, inbox: Dict) -> Dict[int, DetectionOutcome]:
         """Collect one DetectionOutcome per tested cycle length."""
         for k, p in self._subs.items():
             if k not in self._verdicts:
-                self._verdicts[k] = p.on_finish(ctx, self._split(inbox, k))
+                self._verdicts[k] = p.on_finish(ctx, split_inbox(inbox, k))
         return dict(self._verdicts)
 
 

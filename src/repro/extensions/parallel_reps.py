@@ -16,7 +16,7 @@ preserved verbatim (tests exercise it).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from ..congest.network import Network
 from ..congest.node import Broadcast, NodeContext, NodeProgram, Outbox
@@ -24,7 +24,6 @@ from ..congest.scheduler import SynchronousScheduler
 from ..core.algorithm1 import DetectionOutcome
 from ..core.bounds import repetitions_needed
 from ..core.phase1 import MultiplexedCkProgram, protocol_rounds
-from ..core.pruning import Pruner
 from ..errors import ConfigurationError
 from ..graphs.graph import Graph
 from ..seeds import repetition_seeds
@@ -32,70 +31,65 @@ from ..seeds import repetition_seeds
 __all__ = ["BatchedCkProgram", "BatchedCkTester", "BatchedResult"]
 
 
+def merge_outboxes(ctx: NodeContext, outs: Iterable[Tuple[Hashable, Outbox]]) -> Outbox:
+    """Combine the ``(key, outbox)`` pairs of lock-step sub-programs into
+    one ``{neighbor: {key: msg}}`` outbox (``None`` when all are silent)."""
+    merged: Dict[int, Dict[Hashable, Any]] = {}
+    for key, out in outs:
+        if out is None:
+            continue
+        if isinstance(out, Broadcast):
+            targets = {nb: out.message for nb in ctx.neighbor_ids}
+        elif isinstance(out, Mapping):
+            targets = dict(out)
+        else:  # pragma: no cover - sub-programs only use these forms
+            raise ConfigurationError(f"unexpected outbox {type(out)}")
+        for nb, msg in targets.items():
+            if msg is None:
+                continue
+            merged.setdefault(nb, {})[key] = msg
+    return merged if merged else None
+
+
+def split_inbox(inbox: Dict[int, Any], key: Hashable) -> Dict[int, Any]:
+    """Sub-program ``key``'s view of an inbox merged by
+    :func:`merge_outboxes`."""
+    view: Dict[int, Any] = {}
+    for sender, payload in inbox.items():
+        if isinstance(payload, dict) and key in payload:
+            view[sender] = payload[key]
+    return view
+
+
 class BatchedCkProgram(NodeProgram):
     """Runs ``r`` independent :class:`MultiplexedCkProgram` instances in
     lock-step, multiplexing their messages into one per-edge payload
     (a ``{repetition_index: message}`` mapping)."""
 
-    def __init__(
-        self,
-        ctx: NodeContext,
-        k: int,
-        rep_seeds: Tuple[int, ...],
-        pruner: Optional[Pruner] = None,
-    ) -> None:
+    def __init__(self, ctx: NodeContext, k: int, rep_seeds: Tuple[int, ...]) -> None:
         if not rep_seeds:
             raise ConfigurationError("need at least one repetition seed")
         self._subs: List[MultiplexedCkProgram] = [
-            MultiplexedCkProgram(ctx, k, seed, pruner=pruner)
-            for seed in rep_seeds
+            MultiplexedCkProgram(ctx, k, seed) for seed in rep_seeds
         ]
-
-    # ------------------------------------------------------------------
-    def _merge(self, ctx: NodeContext, per_rep: List[Outbox]) -> Outbox:
-        """Combine sub-program outboxes into one {neighbor: {rep: msg}}."""
-        merged: Dict[int, Dict[int, Any]] = {}
-        for rep, out in enumerate(per_rep):
-            if out is None:
-                continue
-            if isinstance(out, Broadcast):
-                targets = {nb: out.message for nb in ctx.neighbor_ids}
-            elif isinstance(out, Mapping):
-                targets = dict(out)
-            else:  # pragma: no cover - sub-programs only use these forms
-                raise ConfigurationError(f"unexpected outbox {type(out)}")
-            for nb, msg in targets.items():
-                if msg is None:
-                    continue
-                merged.setdefault(nb, {})[rep] = msg
-        return merged if merged else None
-
-    @staticmethod
-    def _split(inbox: Dict[int, Any], rep: int) -> Dict[int, Any]:
-        """Extract repetition ``rep``'s view of a merged inbox."""
-        view: Dict[int, Any] = {}
-        for sender, payload in inbox.items():
-            if isinstance(payload, dict) and rep in payload:
-                view[sender] = payload[rep]
-        return view
 
     # ------------------------------------------------------------------
     def on_start(self, ctx: NodeContext) -> Outbox:
         """Round 1: rank rounds of all batched repetitions at once."""
-        return self._merge(ctx, [p.on_start(ctx) for p in self._subs])
+        return merge_outboxes(ctx, enumerate(p.on_start(ctx) for p in self._subs))
 
     def on_round(self, ctx: NodeContext, round_index: int, inbox: Dict) -> Outbox:
         """Advance every repetition's Phase 2 in lock-step."""
         outs = [
-            p.on_round(ctx, round_index, self._split(inbox, rep))
+            (rep, p.on_round(ctx, round_index, split_inbox(inbox, rep)))
             for rep, p in enumerate(self._subs)
         ]
-        return self._merge(ctx, outs)
+        return merge_outboxes(ctx, outs)
 
     def on_finish(self, ctx: NodeContext, inbox: Dict) -> DetectionOutcome:
         """Evaluate each repetition's final decision."""
         for rep, p in enumerate(self._subs):
-            out = p.on_finish(ctx, self._split(inbox, rep))
+            out = p.on_finish(ctx, split_inbox(inbox, rep))
             if isinstance(out, DetectionOutcome) and out.rejects:
                 return out
         return DetectionOutcome(rejects=False)
@@ -129,7 +123,6 @@ class BatchedCkTester:
         epsilon: float,
         *,
         repetitions: Optional[int] = None,
-        pruner: Optional[Pruner] = None,
     ) -> None:
         if k < 3:
             raise ConfigurationError(f"k must be >= 3, got {k}")
@@ -140,7 +133,6 @@ class BatchedCkTester:
         self.repetitions = (
             repetitions if repetitions is not None else repetitions_needed(epsilon)
         )
-        self._pruner = pruner
 
     def run(
         self, graph: Graph, *, seed=None, network: Optional[Network] = None
@@ -151,7 +143,7 @@ class BatchedCkTester:
         net = network if network is not None else Network(graph)
         rep_seeds = tuple(repetition_seeds(seed, self.repetitions))
         run = SynchronousScheduler(net).run(
-            lambda ctx: BatchedCkProgram(ctx, self.k, rep_seeds, pruner=self._pruner),
+            lambda ctx: BatchedCkProgram(ctx, self.k, rep_seeds),
             num_rounds=protocol_rounds(self.k),
         )
         evidence = None

@@ -17,6 +17,7 @@ from repro.congest import (
     ReverseIds,
     SpreadIds,
 )
+from repro.congest.engine import create_engine
 from repro.core import (
     ExplicitPruner,
     detect_cycle_through_edge,
@@ -144,17 +145,21 @@ class TestDifferentialAgainstOracle:
                     assert tuple(sorted(e)) in edges_on_cycle
 
     def test_explicit_pruner_agrees(self):
-        """End-to-end equality of the two pruners on whole executions."""
+        """End-to-end equality of the two pruners on whole executions, on
+        the reference engine (the one that runs any pruner)."""
         for g in random_graphs(6, n_lo=6, n_hi=9, seed=77):
             if g.m == 0:
                 continue
+            net = Network(g)
+            ref = create_engine("reference", net)
             for e in list(g.edges())[:4]:
+                edge_ids = net.edge_ids(*e)
                 for k in (4, 5, 6):
-                    fast = detect_cycle_through_edge(
-                        g, e, k, pruner=HittingSetPruner()
-                    )
-                    slow = detect_cycle_through_edge(g, e, k, pruner=ExplicitPruner())
-                    assert fast.detected == slow.detected
+                    fast = ref.run_detect(k, edge_ids, pruner=HittingSetPruner())
+                    slow = ref.run_detect(k, edge_ids, pruner=ExplicitPruner())
+                    assert fast.outputs.rejecting == slow.outputs.rejecting
+                    for v in fast.outputs.rejecting:
+                        assert fast.outputs[v].cycle == slow.outputs[v].cycle
 
 
 class TestIdAssignmentInvariance:

@@ -287,29 +287,37 @@ class TestCrossEngineEquivalence:
         for seed in (0, 1):
             assert compare_engines_once(g, 4, seed, what="tester") == []
 
-    def test_custom_pruner_skips_the_seed_shortcut(self):
-        from repro.core.pruning import ExplicitPruner
+    def test_reference_explicit_pruner_matches_fast(self):
+        # The reference engine runs the literal Instructions 15-23 under
+        # ExplicitPruner; fast runs HittingSetPruner's rule with its
+        # shortcuts (round 2's closed form, lone rows kept) and refuses
+        # any other pruner.
+        from repro.core.pruning import ExplicitPruner, HittingSetPruner
 
         def rejections(run):
-            return {v: o.cycle for v, o in run.outputs.items() if o.rejects}
+            return {v: run.outputs[v].cycle for v in run.outputs.rejecting}
 
         g = registry.build_graph("theta", paths=4, path_length=2)
         net = Network(g)
         ref, fast = (create_engine(name, net) for name in ENGINE_NAMES)
         for k in (4, 5, 6):
             a = ref.run_tester_repetition(k, 7, pruner=ExplicitPruner())
-            b = fast.run_tester_repetition(k, 7, pruner=ExplicitPruner())
-            assert {v for v, o in a.outputs.items() if o.rejects} == {
-                v for v, o in b.outputs.items() if o.rejects
-            }
-            # Detect through every edge under the same pruner; fast's
-            # run_detect calls it per node from round 2 on.
+            b = fast.run_tester_repetition(k, 7)
+            assert rejections(a) == rejections(b), k
+            assert a.trace.summary() == b.trace.summary(), k
             for u, v in g.edges():
                 edge_ids = net.edge_ids(u, v)
                 a = ref.run_detect(k, edge_ids, pruner=ExplicitPruner())
-                b = fast.run_detect(k, edge_ids, pruner=ExplicitPruner())
+                b = fast.run_detect(k, edge_ids)
                 assert rejections(a) == rejections(b), (k, u, v)
                 assert a.trace.summary() == b.trace.summary(), (k, u, v)
+        edge_ids = net.edge_ids(*next(iter(g.edges())))
+        b = fast.run_detect(4, edge_ids, pruner=HittingSetPruner())
+        assert rejections(b) == rejections(fast.run_detect(4, edge_ids))
+        with pytest.raises(ConfigurationError, match="engine='reference'"):
+            fast.run_tester_repetition(4, 7, pruner=ExplicitPruner())
+        with pytest.raises(ConfigurationError, match="engine='reference'"):
+            fast.run_detect(4, edge_ids, pruner=ExplicitPruner())
 
     def test_strict_bandwidth_raises_in_both_engines(self):
         # A tiny budget makes every Phase-2 bundle oversized.

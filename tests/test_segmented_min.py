@@ -16,8 +16,9 @@ matched senders are at most the two endpoints of its winning tag's
 edge, and it forwards their seeds in ID order.  The pruning step that
 the tester and the edge-axis scan share
 (``FastEngine._edge_round``) is checked against per-group
-:func:`~repro.core.algorithm1.process_phase2_round` on random sorted
-pools under both pruners.  The decision (``FastEngine._decide``), which
+:func:`~repro.core.algorithm1.process_phase2_round` under the literal
+``ExplicitPruner`` on random sorted pools: round-2 groups of
+Algorithm-1 shape, any groups at rounds ``t >= 3``.  The decision (``FastEngine._decide``), which
 scatters first-ID ranges instead of delivering rows, is checked against
 the materialised path: every row delivered, the exact Lemma-1 filter
 taken over them, and
@@ -42,7 +43,7 @@ from repro.congest.ids import (
 )
 from repro.congest.network import Network
 from repro.core import algorithm1
-from repro.core.pruning import ExplicitPruner, HittingSetPruner
+from repro.core.pruning import ExplicitPruner
 from repro.graphs.generators import erdos_renyi_gnp
 from repro.graphs.graph import Graph
 
@@ -268,16 +269,14 @@ def test_seed_round_forwards_the_winning_edge_endpoints_by_id(
 
 @st.composite
 def round_pools(draw):
-    """A sorted edge pool of round ``t`` and its pruner.
+    """A sorted edge pool of round ``t``.
 
-    Several slots, each with a few holders, and groups of 1–8 distinct
-    rows of ``t − 1`` distinct IDs; many rows hold their holder's ID.
-    ``HittingSetPruner`` gets round-2 groups in Algorithm-1 shape (at
-    most the slot's two endpoint singletons), ``ExplicitPruner`` any
-    groups."""
+    Several slots, each with a few holders.  At round 2 the groups have
+    Algorithm-1 shape (at most the slot's two endpoint singletons); at
+    rounds ``t >= 3`` they are any 1–8 distinct rows of ``t − 1``
+    distinct IDs, and many rows hold their holder's ID."""
     k = draw(st.integers(4, 9))
     t = draw(st.integers(2, k // 2))
-    explicit = draw(st.booleans())
     n = 8
     net = Network(Graph(n), RandomPermutationIds(seed=draw(st.integers(0, 99))))
     ids = net.ids()
@@ -291,22 +290,22 @@ def round_pools(draw):
         holders = draw(st.lists(st.integers(0, n - 1), min_size=1,
                                 max_size=3, unique=True))
         for v in sorted(holders):
-            if t == 2 and not explicit:
+            if t == 2:
                 rows = draw(st.lists(st.sampled_from(ends), min_size=1,
                                      max_size=2, unique=True))
                 rows = [(x,) for x in rows]
             else:
                 rows = draw(st.lists(row, min_size=1, max_size=8, unique=True))
             groups.append((s, v, sorted(rows)))
-    pruner = ExplicitPruner() if explicit else HittingSetPruner()
-    return FastEngine(net), k, t, pruner, groups
+    return FastEngine(net), k, t, groups
 
 
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=round_pools())
 def test_edge_round_is_per_group_process_phase2_round(case):
-    eng, k, t, pruner, groups = case
+    # The oracle is the literal Instructions 15-23 (ExplicitPruner).
+    eng, k, t, groups = case
     ids = eng.network.ids()
     slot = [s for s, _, rows in groups for _ in rows]
     holder = [v for _, v, rows in groups for _ in rows]
@@ -318,11 +317,11 @@ def test_edge_round_is_per_group_process_phase2_round(case):
     )
     want_slot, want_holder, want_rows = [], [], []
     for s, v, rows in groups:
-        sends = algorithm1.process_phase2_round(ids[v], rows, k, t, pruner)
+        sends = algorithm1.process_phase2_round(ids[v], rows, k, t, ExplicitPruner())
         want_slot += [s] * len(sends)
         want_holder += [v] * len(sends)
         want_rows += sends
-    out_slot, out_holder, out_mat = eng._edge_round(pool, k, t, pruner)
+    out_slot, out_holder, out_mat = eng._edge_round(pool, k, t)
     assert out_mat.dtype == np.int64 and out_mat.shape == (len(want_rows), t)
     assert out_slot.tolist() == want_slot
     assert out_holder.tolist() == want_holder
