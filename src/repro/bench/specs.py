@@ -1173,11 +1173,13 @@ def certify_scan(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     ``full_redetect(engine="fast")`` must accept the C_k-free grid after
     counting one Algorithm-1 run per edge; then the scan
     (:meth:`~repro.congest.engine.fast.FastEngine.first_cycle_edge` on
-    the cached compile) is gated at ``min_speedup`` over the per-edge
+    an engine compiled from ``Network(g)``, as ``full_redetect``
+    compiles it) is gated at ``min_speedup`` over the per-edge
     ⌊k/2⌋-ball scan it replaced, timed on ``sample_edges`` spread edges
     and scaled to ``m``.
     """
-    from ..congest.engine.cache import EngineCache
+    from ..congest.engine import create_engine
+    from ..congest.network import Network
     from ..dynamic.monitor import _detect_local, full_redetect
     from ..graphs.generators import grid_graph
     from ..obs import Telemetry
@@ -1185,16 +1187,14 @@ def certify_scan(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     g = grid_graph(case["rows"], case["cols"])
     k = case["k"]
     tel = Telemetry()
-    cache = EngineCache()
     accepted, witness = full_redetect(
-        g, k, engine="fast", seed=seed, tester_repetitions=1,
-        telemetry=tel, cache=cache,
+        g, k, engine="fast", seed=seed, tester_repetitions=1, telemetry=tel,
     )
     assert accepted and witness is None, "a grid has no odd cycle"
     detect_runs = tel.summary()["repro_detect_runs_total"]
     assert detect_runs == g.m, f"scan counted {detect_runs} of {g.m} edges"
 
-    engine = cache.get("fast", g)
+    engine = create_engine("fast", Network(g))
     scan_s = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()

@@ -3,10 +3,16 @@
 Every :func:`~repro.congest.engine.create_engine` call re-compiles the
 network into the backend's execution form (CSR adjacency, half-edge
 tables).  Compilation is pure — it depends only on the graph's content,
-the engine name and the bandwidth mode — so repeated detect/tester calls
+the engine name and the bandwidth mode — so repeated detect calls
 against the *same* graph version can reuse one compiled instance.
 :class:`EngineCache` is that reuse point: a small LRU keyed by
-``(engine name, strict_bandwidth, graph.content_hash())``.
+``(engine name, strict_bandwidth, graph.content_hash())``.  Its one
+caller in the library is
+:func:`~repro.core.algorithm1.detect_cycle_through_edge` (``cache=``),
+whose warm path the ``primitives.compile_cache`` benchmark gates.  The
+dynamic monitor and the service's sessions do not use it: they compile
+once per full re-test, and the content hash of a fresh graph costs more
+than that compile.
 
 Three properties keep cached execution bit-identical to uncached:
 
@@ -27,9 +33,10 @@ Three properties keep cached execution bit-identical to uncached:
 
 The cache can also memoise plain CSR exports (:meth:`EngineCache.csr`),
 under the same LRU bound and the same content-hash keying.  Nothing in
-the library calls it any more: the dynamic monitor walks each ⌊k/2⌋-ball
-on the live graph.  It stays only because the repository benchmark's
-tracer (``perfbench/layers.py``) wraps it by name.
+the library calls it: the dynamic monitor walks each ⌊k/2⌋-ball on the
+live graph.  It stays, like the names of the class and of
+:meth:`EngineCache.get`, because the repository benchmark's tracer
+(``perfbench/layers.py``) wraps it by name.
 
 Engines compiled with a fault model are never cached: fault models are
 stateful (they carry their own RNG stream), so two runs through one

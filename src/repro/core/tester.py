@@ -62,13 +62,6 @@ class CkFreenessTester:
         process global (disabled by default).  Records run/repetition/
         reject counters and a ``tester.run`` span; never affects
         verdicts or randomness.
-    cache:
-        Optional :class:`~repro.congest.engine.cache.EngineCache`:
-        reuse a compiled engine instance when :meth:`run` sees a graph
-        whose content was compiled before.  Bypassed whenever a custom
-        ``network`` or a fault model is in play (those configurations
-        are not content-addressable).  Verdicts, traces and telemetry
-        are identical with and without a cache.
     """
 
     def __init__(
@@ -81,7 +74,6 @@ class CkFreenessTester:
         engine: str = "reference",
         faults=None,
         telemetry=None,
-        cache=None,
     ) -> None:
         if k < 3:
             raise ConfigurationError(f"k must be >= 3, got {k}")
@@ -99,7 +91,6 @@ class CkFreenessTester:
         self._strict = strict_bandwidth
         self._faults = faults
         self._telemetry = telemetry
-        self._cache = cache
 
     # ------------------------------------------------------------------
     def run(
@@ -120,6 +111,10 @@ class CkFreenessTester:
             and every edge's rank is
             :func:`~repro.core.phase1.edge_ranks` of
             ``(rep_seed, smaller ID, larger ID)``.
+        network:
+            Optionally a prebuilt :class:`Network` (to control ID
+            assignment, or to compile a second engine from the same
+            one); ``Network(graph)`` by default.
         stop_on_reject:
             Stop after the first rejecting repetition (the verdict is
             already determined; the remaining repetitions cannot flip it).
@@ -140,17 +135,11 @@ class CkFreenessTester:
                 repetitions_planned=self.repetitions,
                 rounds_per_repetition=rounds_per_repetition(self.k),
             )
-        if self._cache is not None and network is None and self._faults is None:
-            eng = self._cache.get(
-                self.engine, graph, strict_bandwidth=self._strict,
-                telemetry=telemetry,
-            )
-        else:
-            net = network if network is not None else Network(graph)
-            eng = create_engine(
-                self.engine, net, strict_bandwidth=self._strict,
-                faults=self._faults, telemetry=telemetry,
-            )
+        net = network if network is not None else Network(graph)
+        eng = create_engine(
+            self.engine, net, strict_bandwidth=self._strict,
+            faults=self._faults, telemetry=telemetry,
+        )
         rep_seeds = repetition_seeds(seed, self.repetitions)
 
         result = TesterResult(

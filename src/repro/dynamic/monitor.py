@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..congest.engine.cache import EngineCache
+from ..congest.network import Network
 from ..core.algorithm1 import detect_cycle_through_edge, record_detections
 from ..core.tester import CkFreenessTester
 from ..errors import ConfigurationError
@@ -172,7 +172,6 @@ def full_redetect(
     tester_repetitions: Optional[int] = None,
     faults=None,
     telemetry=None,
-    cache: Optional[EngineCache] = None,
 ) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """From-scratch exact k-cycle detection: ``(accepted, witness)``.
 
@@ -189,36 +188,33 @@ def full_redetect(
        one exists.  The witness is the cycle of the first rejecting
        vertex of the first rejecting edge.
 
-    The exact path runs under one ``detect.scan`` span (attributes
-    ``k``, ``engine`` and ``edges``, the edges examined) and adds those
-    edges to ``repro_detect_runs_total``.  On the ``fast`` engine it is
-    one :meth:`~repro.congest.engine.fast.FastEngine.first_cycle_edge`
-    call on the tester's compiled instance, which runs blocks of edges
-    side by side; without a ``cache`` a private one serves both halves,
-    so the graph is compiled once.  On the ``reference`` engine (and
-    with faults) each edge runs on its own inside its ⌊k/2⌋-ball, the
-    executable specification the kernel is tested against.  Both find
-    the same witness.
+    Both halves read one ``Network(graph)``; the graph is neither
+    hashed nor copied.  The exact path runs under one ``detect.scan``
+    span (attributes ``k``, ``engine`` and ``edges``, the edges
+    examined) and adds those edges to ``repro_detect_runs_total``.  On
+    the ``fast`` engine it is one
+    :meth:`~repro.congest.engine.fast.FastEngine.first_cycle_edge` call
+    on a second engine compiled from that network (the compile reads the
+    graph's memoised CSR export), which runs blocks of edges side by
+    side.  On the ``reference`` engine (and with faults) each edge runs
+    on its own inside its ⌊k/2⌋-ball, the executable specification the
+    kernel is tested against.  Both find the same witness.
 
     This is also the "naive per-step re-detection" baseline the dynamic
-    benchmarks measure the monitor's caching against.  With an
-    :class:`~repro.congest.engine.cache.EngineCache` the tester reuses
-    its compiled engine and the ``fast`` exact path reads its compiled
-    instance from the cache; verdicts and witnesses are identical either
-    way.
+    benchmarks measure the monitor's caching against.
     """
+    from ..congest.engine import create_engine
     from ..obs import resolve_telemetry
 
     if graph.m == 0:
         return True, None
-    if engine == "fast" and cache is None:
-        cache = EngineCache()
     tel = resolve_telemetry(telemetry)
+    net = Network(graph)
     tester = CkFreenessTester(
         k, epsilon, repetitions=tester_repetitions, engine=engine,
-        faults=faults, telemetry=tel, cache=cache,
+        faults=faults, telemetry=tel,
     )
-    result = tester.run(graph, seed=seed)
+    result = tester.run(graph, seed=seed, network=net)
     if result.rejected and result.evidence is not None:
         # Default networks use identity IDs: evidence is already in
         # vertex indices.
@@ -227,7 +223,7 @@ def full_redetect(
         if engine == "fast":
             # Identity IDs: the edge table is graph.edges() order and
             # the cycle is in vertex indices.
-            hit = cache.get(engine, graph, telemetry=tel).first_cycle_edge(k)
+            hit = create_engine(engine, net, telemetry=tel).first_cycle_edge(k)
             edges = graph.m if hit is None else hit[0] + 1
             witness = None if hit is None else hit[1]
             record_detections(tel, engine, edges, int(hit is not None))
@@ -312,15 +308,10 @@ class CkMonitor:
         Optional :class:`~repro.obs.Telemetry`; ``None`` resolves to the
         process global (disabled by default).  Records step/cache-hit
         counters, ball-size histograms and ``monitor.*`` spans.
-    cache:
-        The :class:`~repro.congest.engine.cache.EngineCache` that holds
-        the compiled engine of full re-tests (the tester and, on
-        ``fast``, the exact scan).  Local rechecks do not use it: they
-        walk the ⌊k/2⌋-ball on the live graph.  ``None`` (default) gives
-        the monitor a private cache; pass one instance to share it (e.g.
-        across all sessions of a detection service).  The per-step
-        verdict, witness and action stream do not depend on which cache
-        is used.
+
+    Full re-tests compile their engines afresh from the current graph
+    (:func:`full_redetect`); local rechecks walk the ⌊k/2⌋-ball on the
+    live graph.  The monitor holds no compiled engine between steps.
     """
 
     def __init__(
@@ -334,7 +325,6 @@ class CkMonitor:
         seed: int = 0,
         faults=None,
         telemetry=None,
-        cache: Optional[EngineCache] = None,
     ) -> None:
         from ..obs import resolve_telemetry
 
@@ -347,7 +337,6 @@ class CkMonitor:
         self.seed = seed
         self._faults = faults
         self._telemetry = resolve_telemetry(telemetry)
-        self._cache = cache if cache is not None else EngineCache()
         self.dynamic = (
             graph if isinstance(graph, DynamicGraph) else DynamicGraph(graph)
         )
@@ -505,7 +494,6 @@ class CkMonitor:
                 tester_repetitions=self.tester_repetitions,
                 faults=self._faults,
                 telemetry=self._telemetry,
-                cache=self._cache,
             )
 
     def __repr__(self) -> str:

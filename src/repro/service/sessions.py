@@ -55,7 +55,6 @@ class Session:
         epsilon: float = 0.1,
         tester_repetitions: Optional[int] = 8,
         telemetry=None,
-        cache=None,
     ) -> None:
         self.name = name
         self.telemetry = resolve_telemetry(telemetry)
@@ -67,7 +66,6 @@ class Session:
             tester_repetitions=tester_repetitions,
             seed=seed,
             telemetry=telemetry,
-            cache=cache,
         )
         self.seed = seed
         self.lock = asyncio.Lock()
@@ -171,9 +169,6 @@ class SessionManager:
     """
 
     def __init__(self, max_sessions: int, *, telemetry=None) -> None:
-        from ..congest.engine.cache import EngineCache
-        from ..obs import resolve_telemetry
-
         if max_sessions < 1:
             raise ConfigurationError(f"max_sessions must be >= 1, got {max_sessions}")
         self.max_sessions = max_sessions
@@ -181,10 +176,6 @@ class SessionManager:
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
         self._auto_names = itertools.count()
         self.evictions = 0
-        # One compiled-instance cache shared by every session: sessions
-        # created from the same base graph (load-harness fan-out, client
-        # retries) reuse one compiled engine for the initial detection.
-        self.engine_cache = EngineCache()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -230,7 +221,13 @@ class SessionManager:
         epsilon: float = 0.1,
         tester_repetitions: Optional[int] = 8,
     ) -> Session:
-        """Create (and register) a session, evicting LRU idle if full."""
+        """Create (and register) a session, evicting LRU idle if full.
+
+        The victim is chosen before the session is built (503 when every
+        session is busy) but evicted only once the build has succeeded,
+        so a create the monitor refuses costs no session.  Nothing here
+        awaits, so no request can take the victim's lock in between.
+        """
         if name is None:
             name = self._next_auto_name()
         elif not SESSION_NAME_RE.match(name):
@@ -243,7 +240,7 @@ class SessionManager:
             raise ServiceError(
                 409, "session_exists", f"session {name!r} already exists"
             )
-        self._evict_for_capacity()
+        victim = self._eviction_victim()
         try:
             # The initial full detection happens in the constructor, so
             # the span covers the expensive part of session creation.
@@ -259,10 +256,16 @@ class SessionManager:
                     epsilon=epsilon,
                     tester_repetitions=tester_repetitions,
                     telemetry=self._telemetry,
-                    cache=self.engine_cache,
                 )
         except (ConfigurationError, GraphError) as exc:
             raise ServiceError(400, "bad_request", str(exc)) from exc
+        if victim is not None:
+            del self._sessions[victim]
+            self.evictions += 1
+            self._telemetry.counter(
+                "repro_service_evictions_total",
+                "Sessions evicted by the LRU capacity bound.",
+            ).inc()
         self._sessions[name] = session
         self._gauge_sessions()
         return session
@@ -274,28 +277,24 @@ class SessionManager:
             if name not in self._sessions:
                 return name
 
-    def _evict_for_capacity(self) -> None:
-        """Make room for one more session, or 503 when all are busy."""
-        while len(self._sessions) >= self.max_sessions:
-            victim = next(
-                (name for name, session in self._sessions.items()
-                 if not session.lock.locked()),
-                None,
+    def _eviction_victim(self) -> Optional[str]:
+        """The least recently used idle session if the table is full
+        (``None`` when there is room), or 503 when every one is busy."""
+        if len(self._sessions) < self.max_sessions:
+            return None
+        victim = next(
+            (name for name, session in self._sessions.items()
+             if not session.lock.locked()),
+            None,
+        )
+        if victim is None:
+            raise ServiceError(
+                503,
+                "session_limit",
+                f"all {self.max_sessions} sessions are busy; "
+                f"retry or delete one",
             )
-            if victim is None:
-                raise ServiceError(
-                    503,
-                    "session_limit",
-                    f"all {self.max_sessions} sessions are busy; "
-                    f"retry or delete one",
-                )
-            del self._sessions[victim]
-            self.evictions += 1
-            self._telemetry.counter(
-                "repro_service_evictions_total",
-                "Sessions evicted by the LRU capacity bound.",
-            ).inc()
-        self._gauge_sessions()
+        return victim
 
     def _gauge_sessions(self) -> None:
         """Refresh the open/peak session gauges."""

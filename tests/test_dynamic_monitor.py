@@ -25,9 +25,11 @@ from repro.graphs.cycles import has_k_cycle
 from repro.graphs.generators import (
     cycle_graph,
     erdos_renyi_gnp,
+    grid_graph,
     path_graph,
     star_graph,
 )
+from repro.obs import Telemetry
 
 
 def witness_is_valid(graph, witness, k):
@@ -246,6 +248,48 @@ class TestFullRedetect:
         from repro.graphs.graph import Graph
 
         assert full_redetect(Graph(5), 4) == (True, None)
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Count calls of ``Graph.content_hash``, ``Graph.copy`` and
+        ``Network.__init__`` from here on."""
+        from repro.congest.network import Network
+
+        calls = {"content_hash": 0, "copy": 0, "network": 0}
+        for owner, attr, key in ((Graph, "content_hash", "content_hash"),
+                                 (Graph, "copy", "copy"),
+                                 (Network, "__init__", "network")):
+            def counted(*args, _real=getattr(owner, attr), _key=key, **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("free", [True, False])
+    def test_certifies_without_hashing_or_copying(self, monkeypatch, engine, free):
+        # A bipartite graph is C5-free, so the scan runs through every
+        # edge; on a 5-cycle the tester rejects and no scan runs.
+        g = grid_graph(3, 4) if free else cycle_graph(5)
+        tel = Telemetry()
+        calls = self._count_calls(monkeypatch)
+        accepted, _ = full_redetect(g, 5, engine=engine, seed=1, telemetry=tel)
+        assert accepted is free
+        scanned = tel.summary().get("repro_detect_runs_total", 0)
+        assert scanned == (g.m if free else 0)
+        assert calls["content_hash"] == 0 and calls["copy"] == 0, calls
+        if engine == "fast":
+            # The tester and the scan's engine compile from one Network.
+            assert calls["network"] == 1, calls
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_monitor_never_hashes_the_graph(self, monkeypatch, engine):
+        calls = self._count_calls(monkeypatch)
+        mon = CkMonitor(cycle_graph(5), 5, engine=engine)
+        rec = mon.apply(Mutation("remove_edge", mon.witness[0], mon.witness[1]))
+        assert rec.action == FULL_RETEST and mon.accepted
+        assert calls["content_hash"] == 0, calls
 
 
 class TestScenarios:

@@ -5,27 +5,19 @@ engine is compiled, never *what* any caller observes.  Covered here:
 
 * LRU mechanics — hit/miss/eviction counters, the ``max_entries`` bound,
   eviction order, ``clear()``, ``nbytes``;
-* telemetry/profiler rebinding on hits (counters land in the caller's
-  registry, exactly as a fresh engine would put them);
+* telemetry rebinding on hits (counters land in the caller's registry,
+  exactly as a fresh engine would put them);
 * CSR memoisation, including caller-supplied version keys;
-* cached == uncached results for ``detect_cycle_through_edge`` and the
-  tester;
-* the dynamic monitor's per-step verdict/witness/action stream is
-  identical with a private cache and with one shared between monitors.
+* cached == uncached results for ``detect_cycle_through_edge``, the one
+  cached path in the library, which faults and explicit networks bypass.
 """
 
 import pytest
 
 from repro.congest.engine.cache import EngineCache
 from repro.core.algorithm1 import detect_cycle_through_edge
-from repro.core.tester import CkFreenessTester
-from repro.dynamic import CkMonitor, build_stream
 from repro.errors import ConfigurationError
-from repro.graphs.generators import (
-    ck_free_graph,
-    cycle_graph,
-    planted_epsilon_far_graph,
-)
+from repro.graphs.generators import cycle_graph, planted_epsilon_far_graph
 from repro.obs import Telemetry
 
 
@@ -117,18 +109,19 @@ class TestCacheTransparency:
         """Counters from a warm hit land in the caller's registry, not
         the registry the engine was compiled under."""
         g, _ = planted_epsilon_far_graph(40, 5, 0.1, seed=6)
+        edge = next(iter(g.edges()))
         cache = EngineCache()
         first, second = Telemetry(), Telemetry()
 
         def run(tel):
-            return CkFreenessTester(
-                5, 0.1, repetitions=3, engine="fast", telemetry=tel, cache=cache
-            ).run(g, seed=9, stop_on_reject=False)
+            return detect_cycle_through_edge(
+                g, edge, 5, engine="fast", telemetry=tel, cache=cache
+            ).detected
 
-        assert run(first).accepted == run(second).accepted
-        assert cache.hits == 1
+        assert run(first) == run(second)
+        assert (cache.misses, cache.hits) == (1, 1)
         key = "repro_congest_runs_total"
-        assert first.summary()[key] == second.summary()[key] == 3
+        assert first.summary()[key] == second.summary()[key] == 1
 
     def test_faults_and_explicit_networks_bypass_the_cache(self):
         from repro.congest.faults import DropFaults
@@ -136,54 +129,11 @@ class TestCacheTransparency:
 
         g = cycle_graph(9)
         cache = EngineCache()
-        CkFreenessTester(
-            5, 0.1, repetitions=2, engine="reference", cache=cache,
+        detect_cycle_through_edge(
+            g, (0, 1), 5, engine="reference", cache=cache,
             faults=DropFaults(0.5, seed=0),
-        ).run(g, seed=1)
-        CkFreenessTester(
-            5, 0.1, repetitions=2, engine="reference", cache=cache
-        ).run(g, seed=1, network=Network(g))
+        )
+        detect_cycle_through_edge(
+            g, (0, 1), 5, engine="reference", cache=cache, network=Network(g)
+        )
         assert cache.misses == 0 and cache.hits == 0 and len(cache) == 0
-
-
-class TestMonitorStreamRegression:
-    """The engine cache changes no verdict.
-
-    The monitor's per-step stream (action taken, verdict, witness, flip
-    flag) must be byte-identical with a private cache and with one cache
-    shared by several monitors, as the sessions of a detection service
-    share it.  The CSR ball extraction itself is checked against the
-    BFS + ``Graph.subgraph`` reference in ``tests/test_dynamic_monitor.py``.
-    """
-
-    @staticmethod
-    def _stream_fingerprint(mon, mutations):
-        records = mon.run_stream(mutations)
-        return [
-            (r.version, r.action, r.accepted, r.witness, r.flipped)
-            for r in records
-        ], mon.stats.as_dict()
-
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
-    @pytest.mark.parametrize("spec", ["growth:steps=40", "near-cycle:steps=30"])
-    def test_verdict_stream_identical_under_every_cache_policy(
-        self, engine, spec
-    ):
-        # A C5-free base: insertions then land on the accepted side of
-        # the decision tree, which is where the CSR ball recheck lives.
-        base = ck_free_graph(30, 5, seed=11)
-        stream = build_stream(spec, base, seed=7, k=5)
-        shared = EngineCache()
-        # A private cache, then two monitors in turn on one shared cache.
-        runs = [
-            self._stream_fingerprint(
-                CkMonitor(base.copy(), 5, engine=engine, seed=3, cache=cache),
-                stream.mutations,
-            )
-            for cache in (None, shared, shared)
-        ]
-        assert runs[1] == runs[0] and runs[2] == runs[0]
-        records, stats = runs[0]
-        assert stats["steps"] == len(records)
-        # The stream must actually exercise the insertion recheck path.
-        assert stats["local_rechecks"] > 0

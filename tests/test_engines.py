@@ -759,7 +759,6 @@ class TestEdgeAxisScan:
     @pytest.mark.parametrize("budget", [1, 37, None])
     def test_first_cycle_edge_matches_serial_ball_scan(self, monkeypatch, budget):
         from repro.congest.engine import fast as fast_mod
-        from repro.congest.engine.cache import EngineCache
 
         if budget is not None:
             monkeypatch.setattr(fast_mod, "_SCAN_ROW_BUDGET", budget)
@@ -777,7 +776,7 @@ class TestEdgeAxisScan:
         # Sparse graphs: first hits from edge 0 to 62, and full scans.
         for n, p, seed in ((40, 0.05, 1), (60, 0.04, 3), (60, 0.035, 4)):
             g = erdos_renyi_gnp(n, p, seed=seed)
-            fast = EngineCache().get("fast", g)
+            fast = create_engine("fast", Network(g))
             for k in range(3, 9):
                 blocks.clear()
                 assert fast.first_cycle_edge(k) == _serial_ball_scan(g, k), (
@@ -801,11 +800,10 @@ class TestEdgeAxisScan:
         # edges (hub, leaf) follow in edge-table order with pools of about
         # 2 * 300 rows each, so an uncut block would hold ~7.7 * 10^4.
         from repro.congest.engine import fast as fast_mod
-        from repro.congest.engine.cache import EngineCache
 
         g = _path_then(127, star_graph(301))
         broadcasts = _spy_broadcasts(monkeypatch)
-        fast = EngineCache().get("fast", g)
+        fast = create_engine("fast", Network(g))
         for k in (5, 6):
             assert fast.first_cycle_edge(k) is None
         assert max(rows for _, rows in broadcasts) <= fast_mod._SCAN_ROW_BUDGET
@@ -815,11 +813,10 @@ class TestEdgeAxisScan:
         # that reaches the clique after the path's light edges is cut, the
         # clique's first edge runs alone, and the hit still matches.
         from repro.congest.engine import fast as fast_mod
-        from repro.congest.engine.cache import EngineCache
 
         g = _path_then(40, registry.build_graph("complete", n=20))
         broadcasts = _spy_broadcasts(monkeypatch)
-        fast = EngineCache().get("fast", g)
+        fast = create_engine("fast", Network(g))
         assert fast.first_cycle_edge(8) == _serial_ball_scan(g, 8)
         budget = fast_mod._SCAN_ROW_BUDGET
         assert any(ex == 1 and rows > budget for ex, rows in broadcasts)

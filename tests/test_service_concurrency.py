@@ -158,6 +158,29 @@ class TestLruEviction:
                 client.verdict("e1")
             assert exc_info.value.status == 404
 
+    @pytest.mark.parametrize(
+        "bad", [{"k": 2}, {"epsilon": 2.0}, {"tester_repetitions": 0}]
+    )
+    def test_refused_create_evicts_nothing(self, bad):
+        """A create the monitor refuses answers 400 and leaves the full
+        table as it was; the next valid create still evicts the LRU."""
+        # The base needs an edge: the tester, which checks epsilon and
+        # the repetition count, runs only on a graph with one.
+        base = graph_io.dumps(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        with ServerHarness(max_sessions=2) as harness:
+            client = harness.client()
+            for name in ("a", "b"):
+                client.create_session(name=name, k=3, n=4)
+            spec = {"k": 3, "base": base, **bad}
+            with pytest.raises(ServiceClientError) as exc_info:
+                client.create_session(name="c", **spec)
+            assert exc_info.value.status == 400
+            assert client.list_sessions()["sessions"] == ["a", "b"]
+            assert harness.server.sessions.evictions == 0
+            client.create_session(name="c", k=3, base=base)
+            assert client.list_sessions()["sessions"] == ["b", "c"]
+            assert harness.server.sessions.evictions == 1
+
     def test_bound_holds_under_concurrent_creates(self):
         max_sessions = 4
         with ServerHarness(max_sessions=max_sessions) as harness:
