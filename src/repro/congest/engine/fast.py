@@ -2,8 +2,11 @@
 
 Instead of instantiating one Python program object per node and routing
 dict-of-dict inboxes message by message, this backend compiles the
-network once into CSR-style adjacency arrays and advances *all* nodes
-per round with vectorized array operations:
+network once into CSR-style adjacency arrays, degrees and audit
+constants, and advances *all* nodes per round with vectorized array
+operations.  The canonical edge table (one ID-key sort of the owned
+half-edges) is built on the first tester repetition or scan, since
+Algorithm 1 through one edge never reads it:
 
 * **Phase-1 rank draws** are one call of
   :func:`~repro.core.phase1.edge_ranks` per repetition over the
@@ -54,9 +57,11 @@ per round with vectorized array operations:
   :meth:`FastEngine.run_detect`'s.  Blocks double while they fit a row
   budget, and a block is cut to fit it before each broadcast, so a pool
   of two or more executions never exceeds it.  Single-edge detection
-  stays per node: a block of one with the audit is slower than
-  :meth:`FastEngine.run_detect` on tiny neighbourhoods, where
-  ``primitives.compile_cache`` gates the cached call
+  (:meth:`FastEngine.run_detect`, the monitor's local recheck) stays per
+  node and takes the kernels' two shortcuts: the pruner runs only on two
+  or more surviving rows at rounds ``t ≥ 3``, and the evidence search
+  only at nodes whose inputs start at both endpoints.  On the tiny
+  neighbourhoods it serves, that is faster than a block of one
   (``docs/engines.md``).
 * **The bit audit is aggregate instead of per-message**: a broadcast
   costs the same bits on every incident edge, so per-round totals,
@@ -198,9 +203,37 @@ class FastEngine(CongestEngine):
         self._he_dst = indices
         # Non-empty CSR rows: the nodes that send their seed at round 2.
         self._rows = np.nonzero(degrees > 0)[0]
+        # The canonical edge table, which only the tester and the scan
+        # read, is built on their first call (_edge_table).
+        self._edge_ends: Optional[np.ndarray] = None
+        # Audit constants (computed through the public SizeModel API so the
+        # aggregate audit charges exactly what per-message observe() would).
+        model = self._size_model
+        self._bits_rank_msg = model.rank_bits
+        self._bits_tagged_overhead = model.bundle_bits(
+            SequenceBundle(frozenset(), rank=1, edge=(0, 1))
+        )
+        self._bits_untagged_overhead = model.bundle_bits(SequenceBundle(frozenset()))
+        self._seq_bits_cache: Dict[int, int] = {}
+        # One more than the largest ID: the radix of packed scan sort keys.
+        self._id_base = int(ids.max()) + 1 if n else 1
+        self._budget = model.budget_bits(n)
+
+    def _edge_table(self) -> None:
+        """Build the canonical edge table, once: ``_edge_ends``, each
+        edge's endpoint vertices in (smaller ID, larger ID) order — where
+        the minimum-rank selection scatters each edge's tag, and the
+        scan's endpoints — their IDs ``_edge_a``/``_edge_b``, the rank
+        draws' keys, and ``_first_owned_he``, the round-1 audit's first
+        delivery.  The tester's rank draws and the scan's blocks call it
+        first; :meth:`run_detect` never does."""
+        if self._edge_ends is not None:
+            return
+        he_src, indices, indptr = self._he_src, self._indices, self._indptr
+        n = len(self._ids)
         # Dense ID ranks order vertices as their IDs do, and pack into
         # int64 keys whatever the ID space (n**2 < 2**63).
-        id_rank = network.id_ranks
+        id_rank = self._net.id_ranks
         src_rank = id_rank[he_src]
         dst_rank = id_rank[indices]
         # Each edge's owned half-edge (src ID < dst ID), in CSR order.
@@ -216,31 +249,15 @@ class FastEngine(CongestEngine):
             lo, hi = indptr[v], indptr[v + 1]
             nb = np.where(owned[lo:hi], dst_rank[lo:hi], n)
             self._first_owned_he = int(lo + np.argmin(nb))
-        # The canonical edge table, in (smaller ID, larger ID) order: the
-        # owned half-edges sorted by their ranks packed into one key.
+        # The owned half-edges sorted by their ranks packed into one key.
         key = src_rank[mine]
         key *= n
         key += dst_rank[mine]
         mine = mine[np.argsort(key)]
-        if len(mine) != g.m:  # pragma: no cover
+        if len(mine) != self._net.graph.m:  # pragma: no cover
             raise CongestError("inconsistent edge count in CSR compile")
-        # The edge table's endpoint vertices — where the minimum-rank
-        # selection scatters each edge's tag, and the scan's endpoints —
-        # and IDs, the rank draws' keys.
         self._edge_ends = np.stack((he_src[mine], indices[mine]))
-        self._edge_a, self._edge_b = ids[self._edge_ends]
-        # Audit constants (computed through the public SizeModel API so the
-        # aggregate audit charges exactly what per-message observe() would).
-        model = self._size_model
-        self._bits_rank_msg = model.rank_bits
-        self._bits_tagged_overhead = model.bundle_bits(
-            SequenceBundle(frozenset(), rank=1, edge=(0, 1))
-        )
-        self._bits_untagged_overhead = model.bundle_bits(SequenceBundle(frozenset()))
-        self._seq_bits_cache: Dict[int, int] = {}
-        # One more than the largest ID: the radix of packed scan sort keys.
-        self._id_base = int(ids.max()) + 1 if n else 1
-        self._budget = model.budget_bits(n)
+        self._edge_a, self._edge_b = self._ids[self._edge_ends]
 
     def _seq_bits(self, seq_len: int) -> int:
         """Bit cost of one length-``seq_len`` ID sequence."""
@@ -252,9 +269,12 @@ class FastEngine(CongestEngine):
 
     @property
     def compiled_nbytes(self) -> int:
-        """Bytes held by the compiled CSR/half-edge arrays (cache telemetry;
-        ``_he_dst`` is ``_indices``, counted once)."""
-        return sum(
+        """Bytes held by the compiled CSR/half-edge arrays and the edge
+        table (cache telemetry; ``_he_dst`` is ``_indices``, counted
+        once).  The edge table counts whether or not it is built yet:
+        its four length-m int64 rows hold twice as many entries as
+        ``_indices``."""
+        return 2 * self._indices.nbytes + sum(
             arr.nbytes
             for arr in (
                 self._ids,
@@ -263,9 +283,6 @@ class FastEngine(CongestEngine):
                 self._degrees,
                 self._rows,
                 self._he_src,
-                self._edge_ends,
-                self._edge_a,
-                self._edge_b,
             )
         )
 
@@ -477,6 +494,7 @@ class FastEngine(CongestEngine):
         (each one the reference owner's draw for that edge)."""
         from ...core.phase1 import edge_ranks
 
+        self._edge_table()
         m = self._net.graph.m
         if not m:
             return np.zeros(0, dtype=np.int64)
@@ -619,14 +637,26 @@ class FastEngine(CongestEngine):
         self, k: int, edge_ids: Tuple[int, int], *, pruner=None
     ) -> RunResult:
         """Algorithm 1 for one edge over CSR arrays: frontier-based
-        delivery, shared pure per-node instructions, aggregate audit.
+        delivery, the shared pure per-node instructions, aggregate audit.
+
+        It takes both kernels' shortcuts, on the facts they rest on.
+        The pruner keeps a lone row, and every row at round 2, where a
+        node holds at most the two endpoint singletons
+        (:meth:`_edge_round`), so a node runs it only on two or more
+        surviving rows at a round ``t >= 3``; otherwise it sends every
+        surviving row, in ``sort_sequences`` order.  By Lemma 1 a node
+        rejects only if its decision inputs — what it received, and for
+        even ``k`` its own last sends — start at both endpoints
+        (:meth:`_edge_decide`).  Each final sender's first IDs go to its
+        neighbours as sets, as :meth:`_decide` scatters first-ID ranges,
+        and only the nodes that pass collect and sort what they received
+        for :func:`~repro.core.algorithm1.find_detection_evidence`.
         ``pruner`` is checked by :meth:`_check_pruner`."""
         from ...core.algorithm1 import (
             DetectionOutcome,
             DetectionOutcomes,
             find_detection_evidence,
             phase2_rounds,
-            process_phase2_round,
         )
         from ...core.pruning import HittingSetPruner
         from ...core.sequences import sort_sequences
@@ -636,7 +666,7 @@ class FastEngine(CongestEngine):
         u_id, v_id = edge_ids
         if u_id == v_id:
             raise ConfigurationError("edge endpoints must differ")
-        pruner = pruner if pruner is not None else HittingSetPruner()
+        select = HittingSetPruner().select
         prof = self._profiler
         g = self._net.graph
         n = g.n
@@ -669,7 +699,7 @@ class FastEngine(CongestEngine):
             recv: Dict[int, list] = {}
             for s in senders:
                 seqs = senders[s]
-                for w in indices[indptr[s]: indptr[s + 1]].tolist():
+                for w in indices[indptr[s] : indptr[s + 1]].tolist():
                     bucket = recv.get(w)
                     if bucket is None:
                         recv[w] = list(seqs)
@@ -677,7 +707,8 @@ class FastEngine(CongestEngine):
                         bucket.extend(seqs)
             return recv
 
-        # Rounds 2..⌊k/2⌋: receive, prune, append, broadcast.
+        # Rounds 2..⌊k/2⌋: receive, drop, prune, append, broadcast
+        # (Instructions 10–27).
         for t in range(2, phase2_rounds(k) + 1):
             stats = self._begin_round(trace, t)
             with prof.phase("priority_mux"):
@@ -685,11 +716,12 @@ class FastEngine(CongestEngine):
             sent = {}
             with prof.phase("round_apply"):
                 for v, lst in recv.items():
-                    send = process_phase2_round(
-                        ids[v], sort_sequences(lst), k, t, pruner
-                    )
-                    if send:
-                        sent[v] = send
+                    me = ids[v]
+                    rows = sort_sequences([s for s in lst if me not in s])
+                    if t > 2 and len(rows) > 1:
+                        rows = select(rows, k, t)
+                    if rows:
+                        sent[v] = [s + (me,) for s in rows]
             per_seq = self._seq_bits(t)
             sender_arr = np.fromiter(sent, dtype=np.int64, count=len(sent))
             sender_arr.sort()
@@ -707,14 +739,31 @@ class FastEngine(CongestEngine):
                     lens,
                 )
 
-        # Final decision from the last round's deliveries.
+        # Final decision.  Each sender's first IDs reach its neighbours
+        # as sets, so no row is delivered to find the nodes whose inputs
+        # start at both endpoints; only those collect what they received.
         with prof.phase("priority_mux"):
-            recv = deliver(sent)
+            heard = {u_id: set(), v_id: set()}
+            sent_from = {u_id: set(), v_id: set()}
+            for s, seqs in sent.items():
+                row = indices[indptr[s] : indptr[s + 1]].tolist()
+                for first in {seq[0] for seq in seqs}:
+                    heard[first].update(row)
+                    sent_from[first].add(s)
+            a, b = heard[u_id], heard[v_id]
+            if k % 2:
+                can = a & b
+            else:
+                can = (a | sent_from[u_id]) & (b | sent_from[v_id]) & (a | b)
         with prof.phase("decision"):
-            for v, lst in recv.items():
-                received = sort_sequences(lst)
+            for v in can:
+                received = [
+                    seq
+                    for s in indices[indptr[v] : indptr[v + 1]].tolist()
+                    for seq in sent.get(s, ())
+                ]
                 cycle = find_detection_evidence(
-                    ids[v], k, sent.get(v, []), received
+                    ids[v], k, sent.get(v, []), sort_sequences(received)
                 )
                 if cycle is not None:
                     rejects[v] = DetectionOutcome(rejects=True, cycle=cycle)
@@ -905,6 +954,7 @@ class FastEngine(CongestEngine):
         order; slot ``s`` is edge ``lo + s``.  Each execution's outputs
         are those of :meth:`run_detect` through that edge.
         """
+        self._edge_table()
         u, v = self._edge_ends[:, lo:hi]
         # Round 1: the endpoints broadcast their singleton sequences.
         slot = np.repeat(np.arange(hi - lo), 2)

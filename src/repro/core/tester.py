@@ -30,7 +30,21 @@ from ..seeds import repetition_seeds
 from .bounds import repetitions_needed, rounds_per_repetition
 from .verdict import RepetitionReport, TesterResult
 
-__all__ = ["CkFreenessTester", "test_ck_freeness"]
+__all__ = ["CkFreenessTester", "check_tester_parameters", "test_ck_freeness"]
+
+
+def check_tester_parameters(
+    k: int, epsilon: float, repetitions: Optional[int], engine: str
+) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless a
+    :class:`CkFreenessTester` takes these parameters."""
+    if k < 3:
+        raise ConfigurationError(f"k must be >= 3, got {k}")
+    if not 0.0 < epsilon < 1.0:
+        raise ConfigurationError(f"epsilon must be in (0,1), got {epsilon}")
+    if repetitions is not None and repetitions < 1:
+        raise ConfigurationError("repetitions must be >= 1")
+    ensure_engine_available(engine)
 
 
 class CkFreenessTester:
@@ -75,18 +89,12 @@ class CkFreenessTester:
         faults=None,
         telemetry=None,
     ) -> None:
-        if k < 3:
-            raise ConfigurationError(f"k must be >= 3, got {k}")
-        if not 0.0 < epsilon < 1.0:
-            raise ConfigurationError(f"epsilon must be in (0,1), got {epsilon}")
-        if repetitions is not None and repetitions < 1:
-            raise ConfigurationError("repetitions must be >= 1")
+        check_tester_parameters(k, epsilon, repetitions, engine)
         self.k = k
         self.epsilon = epsilon
         self.repetitions = (
             repetitions if repetitions is not None else repetitions_needed(epsilon)
         )
-        ensure_engine_available(engine)
         self.engine = engine
         self._strict = strict_bandwidth
         self._faults = faults

@@ -16,10 +16,12 @@ Snapshots (:meth:`snapshot`) pair a frozen copy with its
 reach the same graph state are detectably equal without edge-by-edge
 comparison.
 
-The log is stored as three integer columns — an op code and the two
-endpoints, ``-1`` where an operation has none — about 17 bytes per
-mutation; :class:`Mutation` objects are built only when :attr:`log` or
-:meth:`as_of` reads them.
+The log is stored as three integer columns — a one-byte op code and
+the two endpoints as four-byte ints, ``-1`` where an operation has
+none — about 9 bytes per mutation; :class:`Mutation` objects are built
+only when :attr:`log` or :meth:`as_of` reads them.  Four bytes hold
+every vertex index a mutable graph can reach: a mutation builds one
+adjacency set per vertex first.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class DynamicGraph:
         self._graph = base.copy()
         # The mutation log as columns: op code, u, v (-1: no endpoint).
         self._ops = array("b")
-        self._us = array("q")
-        self._vs = array("q")
+        self._us = array("i")
+        self._vs = array("i")
         # Guards the (graph, log) pair so snapshot()/as_of() observe a
         # single consistent version even when another thread is applying
         # mutations (the service harness runs its event loop on a

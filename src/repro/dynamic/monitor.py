@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..congest.network import Network
 from ..core.algorithm1 import detect_cycle_through_edge, record_detections
-from ..core.tester import CkFreenessTester
+from ..core.tester import CkFreenessTester, check_tester_parameters
 from ..errors import ConfigurationError
 from ..graphs.graph import Graph
 from ..seeds import derive_seed
@@ -309,6 +309,11 @@ class CkMonitor:
         process global (disabled by default).  Records step/cache-hit
         counters, ball-size histograms and ``monitor.*`` spans.
 
+    The constructor raises :class:`~repro.errors.ConfigurationError` for
+    ``k < 3``, an unknown engine, ``epsilon`` outside (0, 1),
+    ``tester_repetitions < 1`` and ``faults`` on an engine other than
+    ``reference``, whatever the graph: no later step can fail on them.
+
     Full re-tests compile their engines afresh from the current graph
     (:func:`full_redetect`); local rechecks walk the ⌊k/2⌋-ball on the
     live graph.  The monitor holds no compiled engine between steps.
@@ -328,8 +333,15 @@ class CkMonitor:
     ) -> None:
         from ..obs import resolve_telemetry
 
-        if k < 3:
-            raise ConfigurationError(f"k must be >= 3, got {k}")
+        # full_redetect builds its tester only on a graph with edges, so
+        # its parameters are checked here: a bad one fails construction,
+        # not a later step whose mutation has already applied.
+        check_tester_parameters(k, epsilon, tester_repetitions, engine)
+        if faults is not None and engine != "reference":
+            raise ConfigurationError(
+                f"fault injection requires the reference engine, got "
+                f"engine={engine!r}"
+            )
         self.k = k
         self.engine = engine
         self.epsilon = epsilon

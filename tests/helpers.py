@@ -5,8 +5,18 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.congest.ids import IdentityIds, RandomPermutationIds, ReverseIds, SpreadIds
 from repro.graphs import Graph, erdos_renyi_gnp
 from repro.runner import registry
+
+#: The four ID assigners of CI's engine matrix, by name, each built from
+#: a seed that only the random permutation reads.
+ID_ASSIGNERS = {
+    "identity": lambda seed: IdentityIds(),
+    "reverse": lambda seed: ReverseIds(),
+    "spread": lambda seed: SpreadIds(),
+    "random": lambda seed: RandomPermutationIds(seed=seed),
+}
 
 # Small parameters so building every registered family stays cheap
 # (mirrors tests/test_runner.py::SMALL).

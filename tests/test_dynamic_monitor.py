@@ -1,6 +1,8 @@
 """CkMonitor unit tests: decision rules, witness maintenance, locality,
 full re-detection, and the growth/adversarial extremes."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,27 @@ class TestDecisionRules:
         with pytest.raises(ConfigurationError):
             CkMonitor(path_graph(3), 2)
 
+    @pytest.mark.parametrize("bad", [
+        {"epsilon": 2.0, "tester_repetitions": 0},
+        {"epsilon": 0.0},
+        {"tester_repetitions": 0},
+        {"engine": "fast", "faults": object()},
+    ])
+    def test_bad_tester_parameters_fail_construction(self, bad):
+        # An edgeless base runs no tester at construction.  Unchecked,
+        # these raised at the first full re-test or local recheck, after
+        # its mutation had applied: five inserts closing a 5-cycle, then
+        # deleting (0, 1), left version 6, REJECT, with a witness through
+        # the deleted edge.
+        with pytest.raises(ConfigurationError):
+            CkMonitor(Graph(5), 5, **bad)
+
+    def test_unknown_engine_fails_construction(self):
+        # Otherwise each insert applies and then raises, leaving ACCEPT
+        # on a graph that holds a 5-cycle.
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            CkMonitor(Graph(5), 5, engine="bogus")
+
     def test_adopts_dynamic_graph(self):
         dyn = DynamicGraph(cycle_graph(6))
         mon = CkMonitor(dyn, 6)
@@ -224,6 +247,55 @@ class TestLocality:
             assert mon.apply(Mutation("add_edge", u, v)).action == LOCAL_RECHECK
             assert mon.apply(Mutation("remove_edge", u, v)).action == CACHE_HIT
         assert mon.accepted and exported == []
+
+    def test_local_recheck_does_no_work_its_answer_never_reads(
+        self, monkeypatch
+    ):
+        # On a bipartite graph at k = 5 the pruner keeps every row (round
+        # 2 only) and Lemma 1 rules every reject out; the ball needs no
+        # adjacency sets, and run_detect no edge table.
+        from repro.congest.engine.fast import FastEngine
+        from repro.core import algorithm1
+        from repro.core.pruning import HittingSetPruner
+
+        rng = random.Random(5)
+        n, half = 2000, 1000
+
+        def cross_edge():
+            return rng.randrange(half), rng.randrange(half, n)
+
+        edges = set()
+        while len(edges) < 4000:
+            edges.add(cross_edge())
+        mon = CkMonitor(Graph(n, sorted(edges)), 5, engine="fast")
+        work = {"select": 0, "evidence": 0, "ball_sets": 0, "edge_tables": 0}
+
+        def spy(owner, attr, key, counts=lambda *args: True):
+            real = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                if counts(*args):
+                    work[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        spy(HittingSetPruner, "select", "select")
+        spy(algorithm1, "find_detection_evidence", "evidence")
+        spy(Graph, "_sets", "ball_sets",
+            lambda g: g._adj is None and g is not mon.graph)
+        spy(FastEngine, "_edge_table", "edge_tables",
+            lambda eng: eng._edge_ends is None)
+        inserts = 0
+        while inserts < 50:
+            u, v = cross_edge()
+            if mon.graph.has_edge(u, v):
+                continue
+            rec = mon.apply(Mutation("add_edge", u, v))
+            assert rec.action == LOCAL_RECHECK and rec.accepted
+            mon.apply(Mutation("remove_edge", u, v))
+            inserts += 1
+        assert work == dict.fromkeys(work, 0)
 
 
 class TestFullRedetect:

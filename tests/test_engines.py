@@ -17,14 +17,19 @@ Layers covered here:
 * CLI ``--engine`` selection;
 * the ``fast`` Algorithm-1 kernel over an edge axis: every execution
   equals ``run_detect`` through its edge, and ``first_cycle_edge``
-  equals the reference per-edge ball scan under any row budget.
+  equals the reference per-edge ball scan under any row budget;
+* single-edge detection: ``fast``'s ``run_detect`` equals the
+  reference's on random G(n, m), edges, k and ID assigners.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import small_instance
+from helpers import ID_ASSIGNERS, small_instance
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.congest.engine import (
@@ -45,9 +50,15 @@ from repro.core.algorithm1 import (
     DetectionOutcomes,
     detect_cycle_through_edge,
 )
+from repro.core.pruning import HittingSetPruner
 from repro.core.tester import CkFreenessTester
 from repro.errors import BandwidthExceededError, ConfigurationError
-from repro.graphs.generators import cycle_graph, erdos_renyi_gnp, star_graph
+from repro.graphs.generators import (
+    cycle_graph,
+    erdos_renyi_gnm,
+    erdos_renyi_gnp,
+    star_graph,
+)
 from repro.graphs.graph import Graph
 from repro.runner import CampaignSpec, CampaignStore, run_campaign
 from repro.runner import registry
@@ -292,7 +303,7 @@ class TestCrossEngineEquivalence:
         # ExplicitPruner; fast runs HittingSetPruner's rule with its
         # shortcuts (round 2's closed form, lone rows kept) and refuses
         # any other pruner.
-        from repro.core.pruning import ExplicitPruner, HittingSetPruner
+        from repro.core.pruning import ExplicitPruner
 
         def rejections(run):
             return {v: run.outputs[v].cycle for v in run.outputs.rejecting}
@@ -821,3 +832,45 @@ class TestEdgeAxisScan:
         budget = fast_mod._SCAN_ROW_BUDGET
         assert any(ex == 1 and rows > budget for ex, rows in broadcasts)
         assert all(rows <= budget for ex, rows in broadcasts if ex > 1)
+
+
+@st.composite
+def single_edge_runs(draw):
+    """A network on a random G(n, m), and the ID pair of one of its
+    edges."""
+    n = draw(st.integers(3, 40))
+    max_m = n * (n - 1) // 2
+    m = draw(st.integers(min(n, max_m), min(max_m, 3 * n)))
+    g = erdos_renyi_gnm(n, m, seed=draw(st.integers(0, 2**32 - 1)))
+    edge = g.edge_list()[draw(st.integers(0, m - 1))]
+    assigner = ID_ASSIGNERS[draw(st.sampled_from(sorted(ID_ASSIGNERS)))]
+    net = Network(g, assigner(draw(st.integers(0, 2**16))))
+    return net, net.edge_ids(*edge)
+
+
+class TestSingleEdgeDetect:
+    """``fast``'s ``run_detect`` skips the pruner where it keeps every row
+    and the evidence search where Lemma 1 rules a reject out; both
+    engines still agree on every output and every round's audit."""
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(run=single_edge_runs())
+    def test_matches_reference_outputs_and_audit(self, k, run):
+        net, edge_ids = run
+        a = create_engine("reference", net).run_detect(k, edge_ids)
+        groups = []
+        select = HittingSetPruner.select
+
+        def spy(pruner, rows, k, t):
+            groups.append((len(rows), t))
+            return select(pruner, rows, k, t)
+
+        with mock.patch.object(HittingSetPruner, "select", spy):
+            b = create_engine("fast", net).run_detect(k, edge_ids)
+        assert a.outputs.rejecting == b.outputs.rejecting
+        assert _rejections(a) == _rejections(b)
+        assert a.trace.rounds == b.trace.rounds
+        # The pruner runs only on two or more rows at rounds t >= 3.
+        assert all(size > 1 and t > 2 for size, t in groups)

@@ -117,6 +117,39 @@ class TestBehaviour:
             ExplicitPruner(max_subsets=10).select(big, 10, 3)
 
 
+class TestBelowThreshold:
+    """The facts the ``fast`` engine's shortcuts rest on: below the
+    threshold the rule forwards a family whole, so a node with one
+    surviving row, or with the two endpoint singletons at round 2, needs
+    no pruner call."""
+
+    PRUNERS = (HittingSetPruner(), ExplicitPruner())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.integers(4, 9))
+    def test_a_lone_row_is_kept(self, data, k):
+        t = data.draw(st.integers(2, k // 2))
+        row = data.draw(
+            st.lists(
+                st.integers(0, 2**40), min_size=t - 1, max_size=t - 1,
+                unique=True,
+            ).map(tuple)
+        )
+        for pruner in self.PRUNERS:
+            assert pruner.select([row], k, t) == [row]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(4, 9),
+        ends=st.lists(st.integers(0, 2**40), min_size=2, max_size=2,
+                      unique=True),
+    )
+    def test_both_endpoint_singletons_are_kept_at_round_2(self, k, ends):
+        a, b = ends
+        for pruner in self.PRUNERS:
+            assert pruner.select([(a,), (b,)], k, 2) == sorted([(a,), (b,)])
+
+
 class TestEquivalence:
     """HittingSetPruner ≡ ExplicitPruner, element for element."""
 

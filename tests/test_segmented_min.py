@@ -30,17 +30,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import ID_ASSIGNERS
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.congest.engine import fast
 from repro.congest.engine.fast import _INF, FastEngine, priority_mux, segmented_min
-from repro.congest.ids import (
-    IdentityIds,
-    RandomPermutationIds,
-    ReverseIds,
-    SpreadIds,
-)
+from repro.congest.ids import RandomPermutationIds
 from repro.congest.network import Network
 from repro.core import algorithm1
 from repro.core.pruning import ExplicitPruner
@@ -197,14 +193,6 @@ def test_priority_mux_matches_brute_force(inst):
             assert matches[h] == survives
 
 
-ASSIGNERS = {
-    "identity": lambda seed: IdentityIds(),
-    "reverse": lambda seed: ReverseIds(),
-    "spread": lambda seed: SpreadIds(),
-    "random": lambda seed: RandomPermutationIds(seed=seed),
-}
-
-
 @st.composite
 def seed_round_graphs(draw):
     """A graph anywhere from edgeless to complete, plus up to three
@@ -223,7 +211,7 @@ def seed_round_graphs(draw):
 @SETTINGS
 @given(
     g=seed_round_graphs(),
-    assigner=st.sampled_from(sorted(ASSIGNERS)),
+    assigner=st.sampled_from(sorted(ID_ASSIGNERS)),
     id_seed=st.integers(0, 2**32 - 1),
     rep_seed=st.integers(0, 2**32 - 1),
 )
@@ -234,7 +222,7 @@ def test_seed_round_forwards_the_winning_edge_endpoints_by_id(
     at most the two endpoints of its winning tag's edge as matched
     senders, and the closed form forwards each one's seed, in ID order,
     with the node's own ID appended."""
-    net = Network(g, ASSIGNERS[assigner](id_seed))
+    net = Network(g, ID_ASSIGNERS[assigner](id_seed))
     eng = FastEngine(net)
     ids = net.ids()
     n = g.n

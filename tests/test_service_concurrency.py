@@ -164,8 +164,6 @@ class TestLruEviction:
     def test_refused_create_evicts_nothing(self, bad):
         """A create the monitor refuses answers 400 and leaves the full
         table as it was; the next valid create still evicts the LRU."""
-        # The base needs an edge: the tester, which checks epsilon and
-        # the repetition count, runs only on a graph with one.
         base = graph_io.dumps(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
         with ServerHarness(max_sessions=2) as harness:
             client = harness.client()
@@ -180,6 +178,16 @@ class TestLruEviction:
             client.create_session(name="c", k=3, base=base)
             assert client.list_sessions()["sessions"] == ["b", "c"]
             assert harness.server.sessions.evictions == 1
+
+    def test_refused_create_on_an_edgeless_base_leaves_no_session(self):
+        """The monitor checks the tester's parameters when it is built,
+        even on a base where no tester runs yet."""
+        with ServerHarness(max_sessions=2) as harness:
+            client = harness.client()
+            with pytest.raises(ServiceClientError) as exc_info:
+                client.create_session(name="e", k=5, n=5, epsilon=2.0)
+            assert exc_info.value.status == 400
+            assert client.list_sessions()["sessions"] == []
 
     def test_bound_holds_under_concurrent_creates(self):
         max_sessions = 4
